@@ -1,11 +1,14 @@
 // google-benchmark micro-benchmarks for the substrate hot paths: DES event
 // dispatch, minicharm message delivery, load-balancing strategies, PUP
-// serialization, and the policy engine itself.
+// serialization, Jacobi calibration, and the policy engine itself.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
+#include "apps/calibration.hpp"
 #include "apps/graph.hpp"
 #include "charm/load_balancer.hpp"
 #include "charm/pup.hpp"
@@ -212,6 +215,21 @@ void BM_GraphSuperstep(benchmark::State& state) {
                           config.max_iterations);
 }
 BENCHMARK(BM_GraphSuperstep)->Arg(1024)->Arg(4096);
+
+// Cold Jacobi strong-scaling calibration: the skeleton runs behind
+// schedsim::calibrated_workloads (measure_jacobi_scaling itself is not
+// cached). Items = replica counts measured; the perf gate floors
+// items_per_second.
+void BM_JacobiCalibration(benchmark::State& state) {
+  const std::vector<int> replicas{1, 4, 16, 64};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        apps::measure_jacobi_scaling(2048, replicas, /*iterations=*/8));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(replicas.size()));
+}
+BENCHMARK(BM_JacobiCalibration)->Unit(benchmark::kMillisecond);
 
 // The per-message pricing hot path of the contention model: route lookup,
 // per-link window sharing and the additive penalty, cycling through

@@ -27,6 +27,8 @@ JacobiConfig jacobi_for_grid(int grid_n, int max_iterations = 12);
 
 /// Run Jacobi2D on the minicharm runtime at each replica count and measure
 /// the steady-state time per iteration (first iteration discarded as warmup).
+/// The runs are skeletons (`JacobiConfig::skeleton`): same virtual time as a
+/// full-math run, without the stencil arithmetic.
 std::vector<ScalingPoint> measure_jacobi_scaling(
     int grid_n, const std::vector<int>& replica_counts, int iterations = 12,
     charm::RuntimeConfig base = {});
@@ -38,6 +40,7 @@ std::vector<ScalingPoint> measure_leanmd_scaling(
 
 /// Run Jacobi2D at `from_replicas`, post a CCS rescale to `to_replicas`
 /// after `warmup_iterations`, and return the per-stage timing (paper §4.2).
+/// Full math: the rescale checkpoints and restores the real grid.
 charm::RescaleTiming measure_jacobi_rescale(int grid_n, int from_replicas,
                                             int to_replicas,
                                             int warmup_iterations = 3,

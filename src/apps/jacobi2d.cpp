@@ -119,10 +119,14 @@ double JacobiBlock::compute() {
       at(x, y) = next_[static_cast<std::size_t>(y * (real_w_ + 2) + x)];
     }
   }
+  advance();
+  return residual;
+}
+
+void JacobiBlock::advance() {
   ++iteration_;
   recv_count_ = 0;
   started_ = false;
-  return residual;
 }
 
 Jacobi2D::Jacobi2D(Runtime& rt, JacobiConfig config)
@@ -184,7 +188,12 @@ double Jacobi2D::model_bytes() const {
 void Jacobi2D::maybe_compute(JacobiBlock& block, Runtime& rt) {
   if (!block.ready_to_compute()) return;
   rt.charge_flops(flops_per_block_);
-  const double res = block.compute();
+  double res = 0.0;
+  if (config_.skeleton) {
+    block.advance();
+  } else {
+    res = block.compute();
+  }
   rt.contribute(array_, res, ReduceOp::kMax);
 }
 
@@ -201,9 +210,12 @@ void Jacobi2D::send_strip(int from_bx, int from_by, JacobiBlock::Dir d) {
       to_by >= config_.blocks_y) {
     return;
   }
-  auto& from = static_cast<JacobiBlock&>(
-      rt_.element(array_, block_index(from_bx, from_by)));
-  std::vector<double> data = from.strip(d);
+  std::vector<double> data;
+  if (!config_.skeleton) {
+    data = static_cast<const JacobiBlock&>(
+               rt_.element(array_, block_index(from_bx, from_by)))
+               .strip(d);
+  }
   const std::size_t bytes =
       (d == JacobiBlock::kUp || d == JacobiBlock::kDown) ? strip_bytes_x_
                                                          : strip_bytes_y_;
@@ -211,7 +223,11 @@ void Jacobi2D::send_strip(int from_bx, int from_by, JacobiBlock::Dir d) {
   rt_.send(array_, block_index(to_bx, to_by), bytes,
            [this, recv_dir, data = std::move(data)](Chare& c, Runtime& rt) {
              auto& block = static_cast<JacobiBlock&>(c);
-             block.apply_ghost(recv_dir, data);
+             if (config_.skeleton) {
+               block.count_ghost();
+             } else {
+               block.apply_ghost(recv_dir, data);
+             }
              maybe_compute(block, rt);
            });
 }

@@ -25,6 +25,13 @@ struct JacobiConfig {
   int max_real_block = 64;
   int max_iterations = 50;
   double flops_per_cell = 6.0;
+  /// Skeleton run: every message, flop charge and reduction contribution of
+  /// a full run, minus the 5-point sweep and the ghost-strip copies. Virtual
+  /// time depends only on charged flops and model message bytes, so the
+  /// iteration end times are bit-identical to a full run's; the grid stays
+  /// at its initial state and `residual()` reads 0. For scaling calibration
+  /// only: a skeleton's grid is not a solution worth checkpointing.
+  bool skeleton = false;
 };
 
 /// One block of the decomposed grid, owning (real_w+2) × (real_h+2) doubles
@@ -57,6 +64,11 @@ class JacobiBlock final : public charm::Chare {
   /// One 5-point Jacobi sweep over the interior; returns max |delta|.
   /// Resets the ghost-receive counter and start flag for the next iteration.
   double compute();
+
+  /// Skeleton counterparts of `apply_ghost` and `compute`: the same compute
+  /// gate and iteration bookkeeping without touching the grid.
+  void count_ghost() { ++recv_count_; }
+  void advance();
 
   int iteration() const { return iteration_; }
   int real_w() const { return real_w_; }

@@ -1,6 +1,10 @@
 #include "schedsim/calibrate.hpp"
 
 #include <algorithm>
+#include <array>
+#include <atomic>
+#include <functional>
+#include <future>
 #include <mutex>
 #include <tuple>
 #include <utility>
@@ -12,9 +16,68 @@ namespace ehpc::schedsim {
 
 using elastic::JobClass;
 using elastic::Workload;
+using Workloads = std::map<JobClass, Workload>;
 
-std::map<JobClass, Workload> analytic_workloads() {
-  std::map<JobClass, Workload> out;
+namespace {
+
+/// The app and its parameters; fields an app does not use keep defaults.
+struct CalibrationKey {
+  std::string app{};
+  double refine_rate = 0.0;
+  std::string lb_strategy{};
+  int vertices = 0;
+  double skew = 0.0;
+  std::string net_model{};
+  double net_oversub = 0.0;
+  auto operator<=>(const CalibrationKey&) const = default;
+};
+
+std::atomic<std::int64_t> measurements{0};
+
+/// The process-wide calibration memo. A measurement is deterministic in its
+/// key, so each key is measured once (a failure is kept like a result): the
+/// first caller measures outside the lock, concurrent callers of the key
+/// wait on its future, and other keys proceed in parallel.
+Workloads cached(const CalibrationKey& key,
+                 const std::function<Workloads()>& measure) {
+  static std::mutex mutex;
+  static std::map<CalibrationKey, std::shared_future<Workloads>> cache;
+  std::packaged_task<Workloads()> task(measure);
+  std::unique_lock<std::mutex> lock(mutex);
+  const auto [it, miss] = cache.try_emplace(key, task.get_future().share());
+  const std::shared_future<Workloads> entry = it->second;
+  lock.unlock();
+  if (miss) {
+    ++measurements;
+    task();
+  }
+  return entry.get();
+}
+
+/// The AMR and graph calibrations: per class, the step-time curve over
+/// 1-64 replicas and the per-rescale LB behaviour at 16 replicas (where the
+/// imbalance is pronounced), both balancing every 4 iterations under `rc`.
+Workloads measure_with_lb(const auto& config_for, const auto& scaling,
+                          const auto& profile, const charm::RuntimeConfig& rc) {
+  Workloads out = analytic_workloads();
+  for (auto& [cls, workload] : out) {
+    const auto config = config_for(cls);
+    workload.time_per_step = apps::scaling_curve(
+        scaling(config, {1, 4, 16, 64}, /*lb_period=*/4, rc));
+    const apps::LbProfile lb = profile(config, /*replicas=*/16,
+                                       /*lb_period=*/4, rc);
+    workload.lb.post_ratio = lb.post_ratio;
+    workload.lb.migrations_per_step = lb.migrations_per_step;
+  }
+  return out;
+}
+
+}  // namespace
+
+std::int64_t calibration_measurements() { return measurements.load(); }
+
+Workloads analytic_workloads() {
+  Workloads out;
   for (auto c : {JobClass::kSmall, JobClass::kMedium, JobClass::kLarge,
                  JobClass::kXLarge}) {
     out.emplace(c, elastic::make_workload(c));
@@ -22,40 +85,26 @@ std::map<JobClass, Workload> analytic_workloads() {
   return out;
 }
 
-std::map<JobClass, Workload> calibrated_workloads() {
-  std::map<JobClass, Workload> out = analytic_workloads();
-  const std::vector<int> replicas{1, 2, 4, 8, 16, 32, 64};
-  for (auto& [cls, workload] : out) {
-    const auto points =
-        apps::measure_jacobi_scaling(workload.grid_n, replicas, /*iterations=*/8);
-    workload.time_per_step = apps::scaling_curve(points);
-  }
-  return out;
+Workloads calibrated_workloads() {
+  return cached({.app = "jacobi"}, [] {
+    Workloads out = analytic_workloads();
+    for (auto& [cls, workload] : out) {
+      workload.time_per_step = apps::scaling_curve(apps::measure_jacobi_scaling(
+          workload.grid_n, {1, 2, 4, 8, 16, 32, 64}, /*iterations=*/8));
+    }
+    return out;
+  });
 }
 
 apps::AmrConfig amr_config_for(JobClass c, double refine_rate) {
-  apps::AmrConfig config;
-  // Sized so class runtimes land in the same regime as the Jacobi classes
-  // (tens of seconds to ~10 minutes per job): compute dominates the
+  // {blocks, cells_per_block} per class: job runtimes like the Jacobi
+  // classes' (tens of seconds to ~10 minutes), where compute dominates the
   // per-message handler cost, so refinement genuinely moves step time.
-  switch (c) {
-    case JobClass::kSmall:
-      config.blocks = 64;
-      config.cells_per_block = 8192;
-      break;
-    case JobClass::kMedium:
-      config.blocks = 96;
-      config.cells_per_block = 16384;
-      break;
-    case JobClass::kLarge:
-      config.blocks = 128;
-      config.cells_per_block = 32768;
-      break;
-    case JobClass::kXLarge:
-      config.blocks = 192;
-      config.cells_per_block = 131072;
-      break;
-  }
+  static constexpr std::array<std::pair<int, int>, 4> kSizes{
+      {{64, 8192}, {96, 16384}, {128, 32768}, {192, 131072}}};
+  apps::AmrConfig config;
+  std::tie(config.blocks, config.cells_per_block) =
+      kSizes.at(static_cast<std::size_t>(c));
   config.max_real_cells = 64;
   config.max_depth = 2;
   config.max_iterations = 12;
@@ -64,101 +113,51 @@ apps::AmrConfig amr_config_for(JobClass c, double refine_rate) {
   return config;
 }
 
-std::map<JobClass, Workload> amr_calibrated_workloads(
-    double refine_rate, const std::string& lb_strategy) {
-  // Memoized: sweeps and tests re-request the same (rate, strategy) pairs,
-  // and the measurement is deterministic, so cache process-wide. The mutex
-  // is held across the measurement — concurrent callers of the same key
-  // wait instead of measuring twice.
-  static std::mutex mutex;
-  static std::map<std::pair<double, std::string>, std::map<JobClass, Workload>>
-      cache;
-  const std::lock_guard<std::mutex> lock(mutex);
-  const auto key = std::make_pair(refine_rate, lb_strategy);
-  if (auto it = cache.find(key); it != cache.end()) return it->second;
-
-  std::map<JobClass, Workload> out = analytic_workloads();
-  const std::vector<int> replicas{1, 4, 16, 64};
-  charm::RuntimeConfig rc;
-  rc.load_balancer = lb_strategy;
-  for (auto& [cls, workload] : out) {
-    const apps::AmrConfig config = amr_config_for(cls, refine_rate);
-    workload.time_per_step = apps::scaling_curve(
-        apps::measure_amr_scaling(config, replicas, /*lb_period=*/4, rc));
-    // LB behaviour per rescale: measured at a mid-size PE count where the
-    // front-driven imbalance is pronounced.
-    const apps::LbProfile profile =
-        apps::measure_amr_lb_profile(config, /*replicas=*/16, /*lb_period=*/4, rc);
-    workload.lb.post_ratio = profile.post_ratio;
-    workload.lb.migrations_per_step = profile.migrations_per_step;
-  }
-  return cache.emplace(key, std::move(out)).first->second;
+Workloads amr_calibrated_workloads(double refine_rate,
+                                   const std::string& lb_strategy) {
+  return cached(
+      {.app = "amr", .refine_rate = refine_rate, .lb_strategy = lb_strategy},
+      [&] {
+        return measure_with_lb(
+            [&](JobClass c) { return amr_config_for(c, refine_rate); },
+            apps::measure_amr_scaling, apps::measure_amr_lb_profile,
+            {.load_balancer = lb_strategy});
+      });
 }
 
 apps::GraphConfig graph_config_for(JobClass c, int vertices, double skew) {
+  // {vertices in halves of the base size, parts} per class: parts grow more
+  // slowly than vertices (heavier parts on big classes) and are capped so a
+  // tiny configured graph still partitions legally.
+  static constexpr std::array<std::pair<int, int>, 4> kSizes{
+      {{1, 48}, {2, 64}, {4, 96}, {8, 128}}};
+  const auto [halves, parts] = kSizes.at(static_cast<std::size_t>(c));
   apps::GraphConfig config;
-  // Vertex counts scale with the class around the scenario's base size;
-  // parts grow more slowly (heavier parts per chare on big classes), and
-  // are capped so a tiny configured graph still partitions legally.
-  switch (c) {
-    case JobClass::kSmall:
-      config.vertices = std::max(2, vertices / 2);
-      config.parts = 48;
-      break;
-    case JobClass::kMedium:
-      config.vertices = vertices;
-      config.parts = 64;
-      break;
-    case JobClass::kLarge:
-      config.vertices = vertices * 2;
-      config.parts = 96;
-      break;
-    case JobClass::kXLarge:
-      config.vertices = vertices * 4;
-      config.parts = 128;
-      break;
-  }
-  config.parts = std::min(config.parts, config.vertices);
+  config.vertices = vertices * halves / 2;
+  if (c == JobClass::kSmall) config.vertices = std::max(2, config.vertices);
+  config.parts = std::min(parts, config.vertices);
   config.skew = skew;
   config.max_iterations = 10;
   return config;
 }
 
-std::map<JobClass, Workload> graph_calibrated_workloads(
-    int vertices, double skew, const std::string& lb_strategy,
-    const std::string& net_model, double net_oversub) {
-  // Memoized like the AMR calibration: the measurement is deterministic in
-  // the key, and sweeps re-request the same point many times.
-  static std::mutex mutex;
-  static std::map<
-      std::tuple<int, double, std::string, std::string, double>,
-      std::map<JobClass, Workload>>
-      cache;
-  const std::lock_guard<std::mutex> lock(mutex);
-  const auto key =
-      std::make_tuple(vertices, skew, lb_strategy, net_model, net_oversub);
-  if (auto it = cache.find(key); it != cache.end()) return it->second;
-
-  std::map<JobClass, Workload> out = analytic_workloads();
-  const std::vector<int> replicas{1, 4, 16, 64};
-  charm::RuntimeConfig rc;
-  rc.load_balancer = lb_strategy;
-  // 4 PEs per node so 64 replicas span 16 nodes (4 racks of the radix-4
-  // topology): rack locality actually varies with placement.
-  rc.pes_per_node = 4;
-  rc.network = net::make_network_model(net_model, net_oversub);
-  for (auto& [cls, workload] : out) {
-    const apps::GraphConfig config = graph_config_for(cls, vertices, skew);
-    workload.time_per_step = apps::scaling_curve(
-        apps::measure_graph_scaling(config, replicas, /*lb_period=*/4, rc));
-    // LB behaviour per rescale: measured where the hub parts are spread
-    // over multiple racks.
-    const apps::LbProfile profile = apps::measure_graph_lb_profile(
-        config, /*replicas=*/16, /*lb_period=*/4, rc);
-    workload.lb.post_ratio = profile.post_ratio;
-    workload.lb.migrations_per_step = profile.migrations_per_step;
-  }
-  return cache.emplace(key, std::move(out)).first->second;
+Workloads graph_calibrated_workloads(int vertices, double skew,
+                                     const std::string& lb_strategy,
+                                     const std::string& net_model,
+                                     double net_oversub) {
+  return cached(
+      {.app = "graph", .lb_strategy = lb_strategy, .vertices = vertices,
+       .skew = skew, .net_model = net_model, .net_oversub = net_oversub},
+      [&] {
+        // 4 PEs per node so 64 replicas span 16 nodes (4 racks of the
+        // radix-4 topology): rack locality actually varies with placement.
+        return measure_with_lb(
+            [&](JobClass c) { return graph_config_for(c, vertices, skew); },
+            apps::measure_graph_scaling, apps::measure_graph_lb_profile,
+            {.pes_per_node = 4,
+             .network = net::make_network_model(net_model, net_oversub),
+             .load_balancer = lb_strategy});
+      });
 }
 
 }  // namespace ehpc::schedsim

@@ -2,14 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace ehpc::apps {
 namespace {
+
+/// What one Jacobi run presents to the machine model: iteration end times,
+/// events executed, and the per-element charged compute.
+struct JacobiTrace {
+  std::vector<double> end_times;
+  std::size_t events = 0;
+  std::vector<double> loads;
+};
+
+JacobiTrace run_jacobi(int grid_n, int replicas, bool skeleton) {
+  charm::RuntimeConfig rc;
+  rc.num_pes = replicas;
+  charm::Runtime rt(rc);
+  JacobiConfig config = jacobi_for_grid(grid_n, /*max_iterations=*/8);
+  config.skeleton = skeleton;
+  Jacobi2D app(rt, config);
+  app.start();
+  JacobiTrace trace;
+  trace.events = rt.run();
+  EXPECT_TRUE(app.driver().finished());
+  trace.end_times = app.driver().iteration_end_times();
+  trace.loads = rt.element_loads(app.array());
+  return trace;
+}
 
 TEST(Calibration, JacobiScalingMonotoneForLargeProblem) {
   auto points = measure_jacobi_scaling(8192, {4, 16, 64}, 8);
   ASSERT_EQ(points.size(), 3u);
   EXPECT_GT(points[0].time_per_step_s, points[1].time_per_step_s);
   EXPECT_GT(points[1].time_per_step_s, points[2].time_per_step_s);
+}
+
+// The skeleton skips only the arithmetic: a dropped send stalls or reorders
+// the run and a dropped flop charge shifts the loads, so every field of the
+// trace must match the full-math run exactly. Grid 256 runs full-size
+// blocks (model block == real block); 2048 and 16384 run reduced ones.
+TEST(Calibration, SkeletonJacobiMatchesFullMathBitForBit) {
+  for (const int grid_n : {256, 2048, 16384}) {
+    for (const int replicas : {1, 4, 64}) {
+      SCOPED_TRACE("grid " + std::to_string(grid_n) + ", replicas " +
+                   std::to_string(replicas));
+      const JacobiTrace full = run_jacobi(grid_n, replicas, /*skeleton=*/false);
+      const JacobiTrace skeleton = run_jacobi(grid_n, replicas, /*skeleton=*/true);
+      ASSERT_EQ(full.end_times.size(), 8u);
+      EXPECT_EQ(skeleton.end_times, full.end_times);
+      EXPECT_EQ(skeleton.events, full.events);
+      EXPECT_EQ(skeleton.loads, full.loads);
+    }
+  }
 }
 
 TEST(Calibration, SmallProblemScalesWorseThanLarge) {

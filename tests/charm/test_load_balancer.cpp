@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 
 #include "common/rng.hpp"
 
@@ -151,6 +152,13 @@ struct LbCase {
   int to_pes;
   unsigned seed;
 };
+
+// Names each case in the test list. Without it gtest dumps the raw bytes,
+// which include the `strategy` pointer and so change from build to build.
+void PrintTo(const LbCase& c, std::ostream* os) {
+  *os << c.strategy << ' ' << c.objects << " objs " << c.from_pes << "->" << c.to_pes
+      << " PEs seed " << c.seed;
+}
 
 class LbProperty : public ::testing::TestWithParam<LbCase> {};
 
