@@ -94,14 +94,15 @@ int run_scenario_mode(const Config& cfg) {
     }
   }
   scenario::ScenarioSpec spec;
+  int threads = 1;
   try {
     spec = scenario::resolve_scenario(cfg);
+    threads = cfg.get_int("threads", threads);
   } catch (const ConfigError& err) {
     std::cerr << "error: " << err.what() << "\n";
     return 2;
   }
 
-  const int threads = cfg.get_int("threads", 1);
   std::cout << "[scenario] " << spec.name << " (threads=" << threads << ") ..."
             << std::flush;
   bench::Reporter reporter("scenario_" + spec.name);

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 
 namespace ehpc {
 
@@ -11,6 +12,26 @@ namespace {
 std::string normalize_key(std::string key) {
   std::replace(key.begin(), key.end(), '-', '_');
   return key;
+}
+
+[[noreturn]] void reject(const std::string& key, const std::string& text,
+                         const char* expected) {
+  throw ConfigError("bad value '" + text + "' for '" + key + "': expected " +
+                    expected);
+}
+
+/// Parse the whole of `text` as a T; anything left over, an empty text or a
+/// value outside T's range is rejected.
+template <class T>
+T parse_number(const std::string& key, const std::string& text,
+               const char* expected) {
+  T out{};
+  const char* last = text.data() + text.size();
+  const auto [end, err] = std::from_chars(text.data(), last, out);
+  if (text.empty() || err != std::errc{} || end != last) {
+    reject(key, text, expected);
+  }
+  return out;
 }
 
 }  // namespace
@@ -72,24 +93,46 @@ std::string Config::get_or(const std::string& key,
 }
 
 int Config::get_int(const std::string& key, int fallback) const {
-  auto v = get(key);
-  if (!v) return fallback;
-  return std::atoi(v->c_str());
+  const auto v = get(key);
+  return v ? parse_int(key, *v) : fallback;
 }
 
 double Config::get_double(const std::string& key, double fallback) const {
-  auto v = get(key);
-  if (!v) return fallback;
-  return std::atof(v->c_str());
+  const auto v = get(key);
+  return v ? parse_double(key, *v) : fallback;
 }
 
 bool Config::get_bool(const std::string& key, bool fallback) const {
-  auto v = get(key);
-  if (!v) return fallback;
-  std::string lower = *v;
+  const auto v = get(key);
+  return v ? parse_bool(key, *v) : fallback;
+}
+
+int Config::parse_int(const std::string& key, const std::string& text) {
+  return parse_number<int>(key, text, "an integer");
+}
+
+unsigned Config::parse_unsigned(const std::string& key,
+                                const std::string& text) {
+  return parse_number<unsigned>(key, text, "a non-negative integer");
+}
+
+double Config::parse_double(const std::string& key, const std::string& text) {
+  const double out = parse_number<double>(key, text, "a finite number");
+  if (!std::isfinite(out)) reject(key, text, "a finite number");
+  return out;
+}
+
+bool Config::parse_bool(const std::string& key, const std::string& text) {
+  std::string lower = text;
   std::transform(lower.begin(), lower.end(), lower.begin(),
                  [](unsigned char c) { return std::tolower(c); });
-  return lower == "1" || lower == "true" || lower == "yes" || lower == "on";
+  if (lower == "1" || lower == "true" || lower == "yes" || lower == "on") {
+    return true;
+  }
+  if (lower == "0" || lower == "false" || lower == "no" || lower == "off") {
+    return false;
+  }
+  reject(key, text, "true/false, 1/0, yes/no or on/off");
 }
 
 }  // namespace ehpc

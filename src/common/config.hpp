@@ -9,7 +9,8 @@
 namespace ehpc {
 
 /// Thrown by the strict Config parser when the command line contains a key
-/// the program does not declare (e.g. a misspelled bench flag).
+/// the program does not declare (e.g. a misspelled bench flag) or a value its
+/// typed getter cannot parse.
 class ConfigError : public std::runtime_error {
  public:
   using std::runtime_error::runtime_error;
@@ -42,9 +43,22 @@ class Config {
 
   std::optional<std::string> get(const std::string& key) const;
   std::string get_or(const std::string& key, const std::string& fallback) const;
+
+  // Typed getters return `fallback` when the key is absent and parse a
+  // present value with the strict parsers below.
   int get_int(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
+
+  // Strict parsers of one value of `key` (also used for list items): the
+  // whole text must parse ("12abc" is not 12), fit the type and, for
+  // doubles, be finite; bools accept true/false, 1/0, yes/no and on/off in
+  // any case. Anything else raises ConfigError naming the key and value.
+  static int parse_int(const std::string& key, const std::string& text);
+  static unsigned parse_unsigned(const std::string& key,
+                                 const std::string& text);
+  static double parse_double(const std::string& key, const std::string& text);
+  static bool parse_bool(const std::string& key, const std::string& text);
 
   const std::vector<std::string>& positional() const { return positional_; }
   bool has(const std::string& key) const { return values_.count(key) > 0; }

@@ -1,18 +1,21 @@
 #include "scenario/spec.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdlib>
+#include <functional>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "charm/load_balancer.hpp"
-#include "common/error.hpp"
-#include "common/table.hpp"
 #include "elastic/workload.hpp"
 
 namespace ehpc::scenario {
 
 using elastic::PolicyMode;
+using schedsim::FaultPlan;
 
 std::string to_string(Substrate s) {
   switch (s) {
@@ -29,188 +32,417 @@ Substrate substrate_from_string(const std::string& name) {
                     "'; known: schedsim cluster");
 }
 
-std::string to_string(SweepAxis a) {
-  switch (a) {
-    case SweepAxis::kNone: return "none";
-    case SweepAxis::kSubmissionGap: return "submission_gap";
-    case SweepAxis::kRescaleGap: return "rescale_gap";
-    case SweepAxis::kRefineRate: return "refine_rate";
-    case SweepAxis::kLbStrategy: return "lb_strategy";
-    case SweepAxis::kFaultMtbf: return "fault_mtbf";
-    case SweepAxis::kCheckpointPeriod: return "checkpoint_period";
-    case SweepAxis::kGraphSkew: return "graph_skew";
-    case SweepAxis::kNetOversub: return "net_oversub";
+namespace {
+
+// ---- parsing a key's text onto a field, by field type ----
+
+using Text = const std::string&;
+
+void parse(Text k, Text v, int& out) { out = Config::parse_int(k, v); }
+void parse(Text k, Text v, long& out) { out = Config::parse_int(k, v); }
+void parse(Text k, Text v, unsigned& out) {
+  out = Config::parse_unsigned(k, v);
+}
+void parse(Text k, Text v, double& out) { out = Config::parse_double(k, v); }
+void parse(Text k, Text v, bool& out) { out = Config::parse_bool(k, v); }
+void parse(Text, Text v, std::string& out) { out = v; }
+void parse(Text, Text v, Substrate& out) { out = substrate_from_string(v); }
+void parse(Text, Text v, SweepAxis& out) { out = sweep_axis_from_string(v); }
+void parse(Text, Text v, PolicyMode& out) {
+  try {
+    out = elastic::policy_mode_from_string(v);
+  } catch (const std::exception&) {
+    throw ConfigError("unknown policy '" + v +
+                      "'; known: min_replicas max_replicas moldable elastic "
+                      "(or 'all')");
   }
-  return "?";
+}
+void parse(Text k, Text v, schedsim::DomainCrash& out) {
+  const auto colon = v.find(':');
+  if (colon == std::string::npos) {
+    throw ConfigError("bad " + k + " entry '" + v + "' (expected time:domain)");
+  }
+  out = {Config::parse_double(k, v.substr(0, colon)),
+         Config::parse_int(k, v.substr(colon + 1))};
+}
+/// A comma-separated list, item by item; empty items are skipped.
+template <class T>
+void parse(Text k, Text v, std::vector<T>& out) {
+  if constexpr (std::is_same_v<T, PolicyMode>) {
+    if (v == "all") {  // the default list holds every policy
+      out = ScenarioSpec{}.policies;
+      return;
+    }
+  }
+  out.clear();
+  std::istringstream in(v);
+  std::string item;
+  while (std::getline(in, item, ',')) {
+    if (!item.empty()) parse(k, item, out.emplace_back());
+  }
+}
+
+// ---- rendering a field for describe() and the help defaults ----
+
+/// The one number renderer: the shortest fixed-point text that parses back
+/// to exactly `v` ("180", "0.12", "0.4"), so recorded configs are lossless.
+std::string show(double v) {
+  char buf[400];  // fixed notation of the extreme doubles needs ~330 chars
+  return std::string(
+      buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed)
+               .ptr);
+}
+std::string show(int v) { return std::to_string(v); }
+std::string show(long v) { return std::to_string(v); }
+std::string show(unsigned v) { return std::to_string(v); }
+std::string show(bool v) { return v ? "true" : "false"; }
+std::string show(const std::string& v) { return v; }
+std::string show(Substrate v) { return to_string(v); }
+std::string show(SweepAxis v) { return to_string(v); }
+std::string show(PolicyMode v) { return elastic::to_string(v); }
+std::string show(const schedsim::DomainCrash& v) {
+  return show(v.time_s) + ':' + std::to_string(v.domain);
+}
+template <class T>
+std::string show(const std::vector<T>& items) {
+  std::string out;
+  for (const T& item : items) {
+    if (!out.empty()) out += ',';
+    out += show(item);
+  }
+  return out;
+}
+
+// ---- the key table ----
+
+using Pred = bool (*)(const ScenarioSpec&);
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr bool kRecalibrates = true;
+
+/// Accepted numeric range of a key (one-sided ranges start at 0).
+struct Range {
+  double lo = -kInf;
+  double hi = kInf;
+  bool lo_open = false;
+
+  /// "" when `v` is in range, else what is wrong ("must be positive").
+  std::string problem(double v) const {
+    if ((lo_open ? v > lo : v >= lo) && v <= hi) return "";
+    if (hi == kInf) {
+      return lo_open ? "must be positive" : "must be non-negative";
+    }
+    return "must be in [" + show(lo) + ", " + show(hi) + "]";
+  }
+};
+
+/// Optional parts of a table entry, set by chaining.
+struct Opts {
+  Pred shown = nullptr;              ///< render-when predicate
+  bool unless_default = false;       ///< render only when not the default
+  Range range;                       ///< numeric keys
+  std::vector<std::string> choices;  ///< allowed values of a string key
+  SweepAxis axis = SweepAxis::kNone;
+  bool recalibrates = false;    ///< the axis's points re-calibrate
+  bool sweep_positive = false;  ///< sweep values must also be positive
+
+  Opts& when(Pred p) { shown = p; return *this; }
+  Opts& when_set() { unless_default = true; return *this; }
+  Opts& in(double lo, double hi) { range = {lo, hi, false}; return *this; }
+  Opts& non_negative() { return in(0.0, kInf); }
+  Opts& positive() { range = {0.0, kInf, true}; return *this; }
+  Opts& one_of(std::vector<std::string> v) {
+    choices = std::move(v);
+    return *this;
+  }
+  Opts& sweeps(SweepAxis a, bool recalibrating = false) {
+    axis = a;
+    recalibrates = recalibrating;
+    return *this;
+  }
+  Opts& positive_sweeps() { sweep_positive = true; return *this; }
+};
+
+/// Everything the spec functions know about one config key.
+struct Key {
+  std::string name;
+  std::string help;
+  Opts opts;
+  /// Parse the key's text onto the spec's field.
+  std::function<void(ScenarioSpec&, const std::string&)> parse;
+  std::function<std::string(const ScenarioSpec&)> render;
+  /// describe() renders the key only when this holds, so a spec that
+  /// leaves a newer key unset describes byte-identically to configs
+  /// recorded before the key existed.
+  std::function<bool(const ScenarioSpec&)> shown;
+  /// What is wrong with the spec's value, without the key name; "" = fine.
+  std::function<std::string(const ScenarioSpec&)> check;
+  /// Set the field from one sweep value (axis keys).
+  std::function<void(ScenarioSpec&, double)> set_value;
+};
+
+/// A table entry bound to `member` of the spec or of its fault plan. Fault
+/// keys render only inside the fault group (a non-empty plan).
+template <class Owner, class T>
+Key field(std::string name, T Owner::*member, std::string help,
+          Opts opts = {}) {
+  const auto at = [member](auto& spec) -> auto& {
+    if constexpr (std::is_same_v<Owner, FaultPlan>) {
+      return spec.faults.*member;
+    } else {
+      return spec.*member;
+    }
+  };
+  Key key{name,
+          std::move(help),
+          opts,
+          [at, name](ScenarioSpec& s, Text v) { parse(name, v, at(s)); },
+          [at](const ScenarioSpec& s) { return show(at(s)); },
+          [at, opts](const ScenarioSpec& s) {
+            static const ScenarioSpec defaults;
+            if (std::is_same_v<Owner, FaultPlan> && s.faults.empty()) {
+              return false;
+            }
+            if (opts.unless_default && at(s) == at(defaults)) return false;
+            return opts.shown == nullptr || opts.shown(s);
+          },
+          {},
+          {}};
+  if constexpr (std::is_arithmetic_v<T>) {
+    key.check = [at, range = opts.range](const ScenarioSpec& s) {
+      return range.problem(static_cast<double>(at(s)));
+    };
+    key.set_value = [at](ScenarioSpec& s, double v) {
+      at(s) = static_cast<T>(v);
+    };
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    const auto& choices = key.opts.choices;
+    key.check = [at, choices](const ScenarioSpec& s) {
+      if (choices.empty() ||
+          std::find(choices.begin(), choices.end(), at(s)) != choices.end()) {
+        return std::string();
+      }
+      std::string known;
+      for (const auto& c : choices) known += " " + c;
+      return "'" + at(s) + "' is unknown; known:" + known;
+    };
+    // A string axis sweeps indices into its choices.
+    key.set_value = [at, name, choices](ScenarioSpec& s, double v) {
+      if (std::floor(v) != v || v < 0.0 ||
+          v >= static_cast<double>(choices.size())) {
+        throw ConfigError(name + " sweep values index its known names: "
+                          "integers in [0, " +
+                          std::to_string(choices.size()) + ")");
+      }
+      at(s) = choices[static_cast<std::size_t>(v)];
+    };
+  }
+  return key;
+}
+
+struct KeyTable {
+  std::vector<Key> keys;            ///< in describe() order
+  std::vector<std::string> names;   ///< of `keys`
+  std::vector<const Key*> by_axis;  ///< indexed by SweepAxis; kNone = null
+};
+
+KeyTable build_key_table() {
+  using S = ScenarioSpec;
+  const Pred amr = [](const S& s) { return s.app == "amr"; };
+  const Pred graph = [](const S& s) { return s.app == "graph"; };
+  const Pred irregular = [](const S& s) {
+    return s.app == "amr" || s.app == "graph";
+  };
+  const Pred topology = [](const S& s) { return s.net_model != "flat"; };
+  const Pred straggler = [](const S& s) {
+    return s.faults.straggler_at_s >= 0.0;
+  };
+  const Pred cron = [](const S& s) { return s.cron_period_s > 0.0; };
+  KeyTable t;
+  t.keys = {
+      field("substrate", &S::substrate, "schedsim | cluster (k8s emulation)"),
+      field("nodes", &S::nodes, "emulated cluster nodes", Opts().positive()),
+      field("cpus_per_node", &S::cpus_per_node, "vCPUs per node",
+            Opts().positive()),
+      field("num_jobs", &S::num_jobs, "jobs per random mix",
+            Opts().positive()),
+      field("pods_per_job", &S::pods_per_job,
+            "force rigid job width (min=max replicas); 0 keeps class-driven "
+            "widths",
+            Opts().when_set().non_negative()),
+      field("submission_gap", &S::submission_gap_s,
+            "seconds between submissions",
+            Opts().non_negative().sweeps(SweepAxis::kSubmissionGap)),
+      field("rescale_gap", &S::rescale_gap_s, "T_rescale_gap in seconds",
+            Opts().non_negative().sweeps(SweepAxis::kRescaleGap)),
+      field("calibrated", &S::calibrated,
+            "minicharm-calibrated step-time curves"),
+      field("app", &S::app,
+            "jacobi | amr (adaptive mesh) | graph (power-law graph "
+            "supersteps)",
+            Opts().one_of({"jacobi", "amr", "graph"})),
+      field("refine_rate", &S::refine_rate,
+            "AMR refinement-event rate per patch/iter",
+            Opts().when(amr).in(0.0, 0.5).sweeps(SweepAxis::kRefineRate,
+                                                 kRecalibrates)),
+      field("graph_vertices", &S::graph_vertices,
+            "graph app vertex count (medium class)",
+            Opts().when(graph).in(256, 1 << 22)),
+      field("graph_skew", &S::graph_skew,
+            "power-law exponent of the degree law",
+            Opts().when(graph).in(0.0, 1.5).sweeps(SweepAxis::kGraphSkew,
+                                                   kRecalibrates)),
+      field("lb_strategy", &S::lb_strategy,
+            "runtime LB: null | greedy | refine | commrefine "
+            "(communication-aware)",
+            Opts()
+                .when(irregular)
+                .one_of(charm::load_balancer_names())
+                .sweeps(SweepAxis::kLbStrategy, kRecalibrates)),
+      field("net_model", &S::net_model,
+            "flat | fattree | dragonfly (graph only; topology models add "
+            "link contention)",
+            Opts().when_set().one_of({"flat", "fattree", "dragonfly"})),
+      field("net_oversub", &S::net_oversub,
+            "core-level oversubscription factor (needs "
+            "net_model=fattree|dragonfly)",
+            Opts().when(topology).in(1.0, 64.0).sweeps(SweepAxis::kNetOversub,
+                                                       kRecalibrates)),
+      field("fault_times", &FaultPlan::crash_times,
+            "comma list of node-crash virtual times (s)", Opts().when_set()),
+      field("fault_mtbf", &FaultPlan::crash_mtbf_s,
+            "deterministic crash chain period (s); 0 off",
+            Opts().when_set().sweeps(SweepAxis::kFaultMtbf).positive_sweeps()),
+      field("evict_times", &FaultPlan::evict_times,
+            "comma list of pod-eviction virtual times (s)", Opts().when_set()),
+      field("straggler_at", &FaultPlan::straggler_at_s,
+            "time a straggler PE appears (s); <0 off", Opts().when(straggler)),
+      field("straggler_factor", &FaultPlan::straggler_factor,
+            "step-time multiplier of the straggler job",
+            Opts().when(straggler)),
+      field("checkpoint_period", &FaultPlan::checkpoint_period_s,
+            "disk checkpoint cadence (s); 0 = none",
+            Opts()
+                .when_set()
+                .sweeps(SweepAxis::kCheckpointPeriod)
+                .positive_sweeps()),
+      field("fault_detection", &FaultPlan::detection_s,
+            "crash detection delay before recovery (s)", Opts().when_set()),
+      field("max_failed_nodes", &FaultPlan::max_failed_nodes,
+            "per-job crash budget (prun); <0 unlimited",
+            Opts().when([](const S& s) {
+              return s.faults.max_failed_nodes >= 0;
+            })),
+      field("fault_domains", &FaultPlan::domain_sizes,
+            "comma list of failure-domain slot counts (consecutive slot "
+            "groups, e.g. racks)",
+            Opts().when_set()),
+      field("fault_domain_crash_times", &FaultPlan::domain_crashes,
+            "comma list of time:domain correlated crashes (kill every PE of "
+            "the domain)",
+            Opts().when_set()),
+      field("failure_trace_path", &FaultPlan::failure_trace_path,
+            "CSV failure trace (time_s,kind[,domain])", Opts().when_set()),
+      field("restore_bandwidth", &FaultPlan::restore_bandwidth,
+            "concurrent restores sharing the restore path before it "
+            "saturates; 0 = unlimited",
+            Opts().when_set()),
+      field("trace", &S::trace_path,
+            "CSV job trace to stream (replaces num_jobs)", Opts().when_set()),
+      field("trace_jobs", &S::trace_jobs,
+            "synthetic streaming trace length; 0 off",
+            Opts().when_set().non_negative()),
+      field("cron_period", &S::cron_period_s,
+            "recurring-job submission period (s); 0 off",
+            Opts().when(cron).non_negative()),
+      field("cron_phase", &S::cron_phase_s, "first cron submission time (s)",
+            Opts().when(cron)),
+      field("cron_end", &S::cron_end_s,
+            "last eligible cron submission (s, inclusive)", Opts().when(cron)),
+      field("cron_class", &S::cron_class,
+            "cron job class: small|medium|large|xlarge", Opts().when(cron)),
+      field("cron_priority", &S::cron_priority, "cron job priority",
+            Opts().when(cron)),
+      field("queue_timeout", &S::queue_timeout_s,
+            "abandon jobs queued this long (s); <0 off",
+            Opts().when([](const S& s) { return s.queue_timeout_s >= 0.0; })),
+      field("task_timeout", &S::task_timeout_s,
+            "kill jobs running this long (s); <0 off",
+            Opts().when([](const S& s) { return s.task_timeout_s >= 0.0; })),
+      field("policies", &S::policies,
+            "comma list of policies to compare (or all)"),
+      field("sweep_axis", &S::axis, "swept parameter: none"),
+      field("sweep_values", &S::axis_values,
+            "comma list of swept parameter values", Opts().when_set()),
+      field("repeats", &S::repeats, "random mixes averaged per point",
+            Opts().positive()),
+      field("seed", &S::seed, "base RNG seed (repeat r uses seed + r)"),
+  };
+  for (const Key& key : t.keys) {
+    t.names.push_back(key.name);
+    if (key.opts.axis == SweepAxis::kNone) continue;
+    const auto i = static_cast<std::size_t>(key.opts.axis);
+    if (t.by_axis.size() <= i) t.by_axis.resize(i + 1, nullptr);
+    t.by_axis[i] = &key;
+  }
+  // The sweep_axis help lists every bound key, so it cannot drift.
+  for (Key& key : t.keys) {
+    if (key.name != "sweep_axis") continue;
+    for (const Key* bound : t.by_axis) {
+      if (bound != nullptr) key.help += " | " + bound->name;
+    }
+  }
+  return t;
+}
+
+const KeyTable& key_table() {
+  static const KeyTable table = build_key_table();
+  return table;
+}
+
+/// The key bound to `axis`, or null for kNone.
+const Key* axis_key(SweepAxis axis) {
+  const auto& by_axis = key_table().by_axis;
+  const auto i = static_cast<std::size_t>(axis);
+  return i < by_axis.size() ? by_axis[i] : nullptr;
+}
+
+}  // namespace
+
+std::string to_string(SweepAxis a) {
+  if (a == SweepAxis::kNone) return "none";
+  const Key* key = axis_key(a);
+  return key != nullptr ? key->name : "?";
 }
 
 SweepAxis sweep_axis_from_string(const std::string& name) {
   if (name == "none") return SweepAxis::kNone;
-  if (name == "submission_gap") return SweepAxis::kSubmissionGap;
-  if (name == "rescale_gap") return SweepAxis::kRescaleGap;
-  if (name == "refine_rate") return SweepAxis::kRefineRate;
-  if (name == "lb_strategy") return SweepAxis::kLbStrategy;
-  if (name == "fault_mtbf") return SweepAxis::kFaultMtbf;
-  if (name == "checkpoint_period") return SweepAxis::kCheckpointPeriod;
-  if (name == "graph_skew") return SweepAxis::kGraphSkew;
-  if (name == "net_oversub") return SweepAxis::kNetOversub;
-  throw ConfigError(
-      "unknown sweep axis '" + name +
-      "'; known: none submission_gap rescale_gap refine_rate lb_strategy "
-      "fault_mtbf checkpoint_period graph_skew net_oversub");
+  std::string known = "none";
+  for (const Key* key : key_table().by_axis) {
+    if (key == nullptr) continue;
+    if (key->name == name) return key->opts.axis;
+    known += " " + key->name;
+  }
+  throw ConfigError("unknown sweep axis '" + name + "'; known: " + known);
 }
 
 bool axis_affects_workloads(SweepAxis a) {
-  return a == SweepAxis::kRefineRate || a == SweepAxis::kLbStrategy ||
-         a == SweepAxis::kGraphSkew || a == SweepAxis::kNetOversub;
+  const Key* key = axis_key(a);
+  return key != nullptr && key->opts.recalibrates;
 }
 
-namespace {
-
-std::vector<std::string> split_list(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
+void set_axis_value(ScenarioSpec& spec, double value) {
+  if (const Key* key = axis_key(spec.axis)) key->set_value(spec, value);
 }
-
-std::vector<PolicyMode> parse_policies(const std::string& text) {
-  if (text == "all") {
-    return {PolicyMode::kRigidMin, PolicyMode::kRigidMax, PolicyMode::kMoldable,
-            PolicyMode::kElastic};
-  }
-  std::vector<PolicyMode> out;
-  for (const auto& item : split_list(text)) {
-    try {
-      out.push_back(elastic::policy_mode_from_string(item));
-    } catch (const std::exception&) {
-      throw ConfigError("unknown policy '" + item +
-                        "'; known: min_replicas max_replicas moldable elastic "
-                        "(or 'all')");
-    }
-  }
-  if (out.empty()) throw ConfigError("policies list is empty: '" + text + "'");
-  return out;
-}
-
-std::vector<double> parse_values(const std::string& text) {
-  std::vector<double> out;
-  for (const auto& item : split_list(text)) {
-    char* end = nullptr;
-    const double value = std::strtod(item.c_str(), &end);
-    if (end != item.c_str() + item.size()) {
-      throw ConfigError("bad sweep value '" + item + "' in '" + text + "'");
-    }
-    out.push_back(value);
-  }
-  return out;
-}
-
-std::vector<int> parse_domain_sizes(const std::string& text) {
-  std::vector<int> out;
-  for (const auto& item : split_list(text)) {
-    char* end = nullptr;
-    const long value = std::strtol(item.c_str(), &end, 10);
-    if (end != item.c_str() + item.size() || value <= 0) {
-      throw ConfigError("bad fault_domains entry '" + item + "' in '" + text +
-                        "' (expected positive slot counts)");
-    }
-    out.push_back(static_cast<int>(value));
-  }
-  if (out.empty()) {
-    throw ConfigError("fault_domains list is empty: '" + text + "'");
-  }
-  return out;
-}
-
-std::vector<schedsim::DomainCrash> parse_domain_crashes(
-    const std::string& text) {
-  std::vector<schedsim::DomainCrash> out;
-  for (const auto& item : split_list(text)) {
-    const auto colon = item.find(':');
-    if (colon == std::string::npos) {
-      throw ConfigError("bad fault_domain_crash_times entry '" + item +
-                        "' in '" + text + "' (expected time:domain)");
-    }
-    const std::string time_part = item.substr(0, colon);
-    const std::string domain_part = item.substr(colon + 1);
-    char* end = nullptr;
-    const double time = std::strtod(time_part.c_str(), &end);
-    if (time_part.empty() || end != time_part.c_str() + time_part.size()) {
-      throw ConfigError("bad crash time '" + time_part +
-                        "' in fault_domain_crash_times entry '" + item + "'");
-    }
-    const long domain = std::strtol(domain_part.c_str(), &end, 10);
-    if (domain_part.empty() ||
-        end != domain_part.c_str() + domain_part.size() || domain < 0) {
-      throw ConfigError("bad domain index '" + domain_part +
-                        "' in fault_domain_crash_times entry '" + item + "'");
-    }
-    out.push_back({time, static_cast<int>(domain)});
-  }
-  if (out.empty()) {
-    throw ConfigError("fault_domain_crash_times list is empty: '" + text +
-                      "'");
-  }
-  return out;
-}
-
-std::string join_domain_sizes(const std::vector<int>& sizes) {
-  std::string out;
-  for (const int s : sizes) {
-    if (!out.empty()) out += ',';
-    out += std::to_string(s);
-  }
-  return out;
-}
-
-std::string join_domain_crashes(
-    const std::vector<schedsim::DomainCrash>& crashes) {
-  std::string out;
-  for (const auto& crash : crashes) {
-    if (!out.empty()) out += ',';
-    out += format_double(crash.time_s,
-                         std::floor(crash.time_s) == crash.time_s ? 0 : 3);
-    out += ':' + std::to_string(crash.domain);
-  }
-  return out;
-}
-
-std::string join_policies(const std::vector<PolicyMode>& policies) {
-  std::string out;
-  for (const auto mode : policies) {
-    if (!out.empty()) out += ',';
-    out += elastic::to_string(mode);
-  }
-  return out;
-}
-
-std::string join_values(const std::vector<double>& values) {
-  std::string out;
-  for (const double v : values) {
-    if (!out.empty()) out += ',';
-    // No int cast: arbitrary user-supplied values may exceed int range.
-    out += format_double(v, std::floor(v) == v ? 0 : 3);
-  }
-  return out;
-}
-
-}  // namespace
 
 void ScenarioSpec::validate() const {
   auto fail = [this](const std::string& what) {
     throw ConfigError("scenario '" + name + "': " + what);
   };
-  if (nodes <= 0) fail("nodes must be positive");
-  if (cpus_per_node <= 0) fail("cpus_per_node must be positive");
-  if (num_jobs <= 0) fail("num_jobs must be positive");
-  if (pods_per_job < 0) fail("pods_per_job must be non-negative");
-  if (submission_gap_s < 0.0) fail("submission_gap must be non-negative");
-  if (rescale_gap_s < 0.0) fail("rescale_gap must be non-negative");
-  if (repeats <= 0) fail("repeats must be positive");
+  for (const Key& key : key_table().keys) {
+    if (!key.check) continue;
+    const std::string problem = key.check(*this);
+    if (!problem.empty()) fail(key.name + " " + problem);
+  }
   if (policies.empty()) fail("policies must not be empty");
   if (axis != SweepAxis::kNone && axis_values.empty()) {
     fail("sweep axis '" + to_string(axis) + "' needs sweep_values");
@@ -218,17 +450,28 @@ void ScenarioSpec::validate() const {
   if (axis == SweepAxis::kNone && !axis_values.empty()) {
     fail("sweep_values given but sweep_axis is 'none'");
   }
-  if (app != "jacobi" && app != "amr" && app != "graph") {
-    fail("unknown app '" + app + "'; known: jacobi amr graph");
+  // Values of a re-calibrating axis feed calibration runs before the cells
+  // fan out, so they must pass the swept key's own check up front. Other
+  // axes' values are checked where each cell consumes them (a negative
+  // submission gap fails in the mix generator, on the worker).
+  if (const Key* key = axis_key(axis)) {
+    for (const double v : axis_values) {
+      if (key->opts.sweep_positive && v <= 0.0) {
+        fail("axis '" + key->name + "' sweep values must be positive");
+      }
+      if (!key->opts.recalibrates) continue;
+      ScenarioSpec point = *this;
+      try {
+        key->set_value(point, v);
+      } catch (const ConfigError& e) {
+        fail(e.what());
+      }
+      const std::string problem = key->check ? key->check(point) : "";
+      if (!problem.empty()) fail(key->name + " sweep values " + problem);
+    }
   }
-  if (refine_rate < 0.0 || refine_rate > 0.5) {
-    fail("refine_rate must be in [0, 0.5]");
-  }
-  if (net_model != "flat" && net_model != "fattree" &&
-      net_model != "dragonfly") {
-    fail("unknown net_model '" + net_model +
-         "'; known: flat fattree dragonfly");
-  }
+
+  // Cross-field rules.
   if (net_model != "flat" && app != "graph") {
     fail("net_model '" + net_model + "' requires app=graph (only the graph "
          "calibration routes through the topology seam)");
@@ -236,81 +479,25 @@ void ScenarioSpec::validate() const {
   if (net_oversub != 1.0 && net_model == "flat") {
     fail("net_oversub needs a topology: set net_model=fattree or dragonfly");
   }
-  if (net_oversub < 1.0 || net_oversub > 64.0) {
-    fail("net_oversub must be in [1, 64]");
-  }
-  if (graph_vertices < 256 || graph_vertices > (1 << 22)) {
-    fail("graph_vertices must be in [256, 4194304]");
-  }
-  if (graph_skew < 0.0 || graph_skew > 1.5) {
-    fail("graph_skew must be in [0, 1.5]");
-  }
-  if (app != "graph" && (graph_vertices != 4096 || graph_skew != 0.8)) {
+  const ScenarioSpec defaults;
+  if (app != "graph" && (graph_vertices != defaults.graph_vertices ||
+                         graph_skew != defaults.graph_skew)) {
     fail("graph_vertices/graph_skew require app=graph");
   }
-  const auto& lb_names = charm::load_balancer_names();
-  if (std::find(lb_names.begin(), lb_names.end(), lb_strategy) ==
-      lb_names.end()) {
-    fail("unknown lb_strategy '" + lb_strategy +
-         "'; known: null greedy refine commrefine");
+  if (axis == SweepAxis::kRefineRate && app != "amr") {
+    fail("axis '" + to_string(axis) + "' requires app=amr");
   }
-  if (axis == SweepAxis::kLbStrategy) {
-    for (const double v : axis_values) {
-      if (std::floor(v) != v || v < 0.0 ||
-          v >= static_cast<double>(lb_names.size())) {
-        fail("lb_strategy sweep values index load_balancer_names(): integers "
-             "in [0, " + std::to_string(lb_names.size()) + ")");
-      }
-    }
+  if (axis == SweepAxis::kLbStrategy && app != "amr" && app != "graph") {
+    fail("axis '" + to_string(axis) + "' requires app=amr or app=graph");
   }
-  if (axis == SweepAxis::kRefineRate) {
-    for (const double v : axis_values) {
-      if (v < 0.0 || v > 0.5) {
-        fail("refine_rate sweep values must be in [0, 0.5]");
-      }
-    }
+  if ((axis == SweepAxis::kGraphSkew || axis == SweepAxis::kNetOversub) &&
+      app != "graph") {
+    fail("axis '" + to_string(axis) + "' requires app=graph");
   }
-  if (axis == SweepAxis::kRefineRate) {
-    if (app != "amr") fail("axis '" + to_string(axis) + "' requires app=amr");
+  if (axis == SweepAxis::kNetOversub && net_model == "flat") {
+    fail("axis 'net_oversub' needs a topology: set net_model=fattree or "
+         "dragonfly");
   }
-  if (axis == SweepAxis::kLbStrategy) {
-    if (app != "amr" && app != "graph") {
-      fail("axis '" + to_string(axis) + "' requires app=amr or app=graph");
-    }
-  }
-  if (axis == SweepAxis::kGraphSkew) {
-    if (app != "graph") {
-      fail("axis '" + to_string(axis) + "' requires app=graph");
-    }
-    for (const double v : axis_values) {
-      if (v < 0.0 || v > 1.5) {
-        fail("graph_skew sweep values must be in [0, 1.5]");
-      }
-    }
-  }
-  if (axis == SweepAxis::kNetOversub) {
-    if (app != "graph") {
-      fail("axis '" + to_string(axis) + "' requires app=graph");
-    }
-    if (net_model == "flat") {
-      fail("axis 'net_oversub' needs a topology: set net_model=fattree or "
-           "dragonfly");
-    }
-    for (const double v : axis_values) {
-      if (v < 1.0 || v > 64.0) {
-        fail("net_oversub sweep values must be in [1, 64]");
-      }
-    }
-  }
-  if (axis == SweepAxis::kFaultMtbf || axis == SweepAxis::kCheckpointPeriod) {
-    for (const double v : axis_values) {
-      if (v <= 0.0) {
-        fail("axis '" + to_string(axis) + "' sweep values must be positive");
-      }
-    }
-  }
-  if (trace_jobs < 0) fail("trace_jobs must be non-negative");
-  if (cron_period_s < 0.0) fail("cron_period must be non-negative");
   if (cron_period_s > 0.0) {
     if (cron_phase_s < 0.0) fail("cron_phase must be non-negative");
     if (cron_end_s < cron_phase_s) {
@@ -341,242 +528,50 @@ void ScenarioSpec::validate() const {
 }
 
 const std::vector<std::string>& spec_config_keys() {
-  static const std::vector<std::string> kKeys{
-      "substrate",      "nodes",      "cpus_per_node", "num_jobs",
-      "pods_per_job",
-      "submission_gap", "rescale_gap", "calibrated",   "policies",
-      "app",            "refine_rate", "lb_strategy",
-      "net_model",      "net_oversub", "graph_vertices", "graph_skew",
-      "fault_times",    "fault_mtbf", "evict_times",   "straggler_at",
-      "straggler_factor", "checkpoint_period", "fault_detection",
-      "max_failed_nodes",
-      "fault_domains",  "fault_domain_crash_times", "failure_trace_path",
-      "restore_bandwidth",
-      "trace",          "trace_jobs", "cron_period",   "cron_phase",
-      "cron_end",       "cron_class", "cron_priority", "queue_timeout",
-      "task_timeout",
-      "sweep_axis",     "sweep_values", "repeats",     "seed"};
-  return kKeys;
+  return key_table().names;
 }
 
 std::string spec_config_help() {
-  return
-      "  substrate=schedsim      schedsim | cluster (k8s emulation)\n"
-      "  nodes=4                 emulated cluster nodes\n"
-      "  cpus_per_node=16        vCPUs per node\n"
-      "  num_jobs=16             jobs per random mix\n"
-      "  pods_per_job=0          force rigid job width (min=max replicas);\n"
-      "                          0 keeps class-driven widths\n"
-      "  submission_gap=90       seconds between submissions\n"
-      "  rescale_gap=180         T_rescale_gap in seconds\n"
-      "  calibrated=true         minicharm-calibrated step-time curves\n"
-      "  policies=all            comma list: min_replicas,max_replicas,"
-      "moldable,elastic\n"
-      "  app=jacobi              jacobi | amr (adaptive mesh) | graph\n"
-      "                          (power-law graph supersteps)\n"
-      "  refine_rate=0.12        AMR refinement-event rate per patch/iter\n"
-      "  lb_strategy=greedy      runtime LB: null | greedy | refine |\n"
-      "                          commrefine (communication-aware)\n"
-      "  net_model=flat          flat | fattree | dragonfly (graph only;\n"
-      "                          topology models add link contention)\n"
-      "  net_oversub=1           core-level oversubscription factor\n"
-      "                          (needs net_model=fattree|dragonfly)\n"
-      "  graph_vertices=4096     graph app vertex count (medium class)\n"
-      "  graph_skew=0.8          power-law exponent of the degree law\n"
-      "  fault_times=            comma list of node-crash virtual times (s)\n"
-      "  fault_mtbf=0            deterministic crash chain period (s); 0 off\n"
-      "  evict_times=            comma list of pod-eviction virtual times (s)\n"
-      "  straggler_at=-1         time a straggler PE appears (s); <0 off\n"
-      "  straggler_factor=1      step-time multiplier of the straggler job\n"
-      "  checkpoint_period=0     disk checkpoint cadence (s); 0 = none\n"
-      "  fault_detection=5       crash detection delay before recovery (s)\n"
-      "  max_failed_nodes=-1     per-job crash budget (prun); <0 unlimited\n"
-      "  fault_domains=          comma list of failure-domain slot counts\n"
-      "                          (consecutive slot groups, e.g. racks)\n"
-      "  fault_domain_crash_times=  comma list of time:domain correlated\n"
-      "                          crashes (kill every PE of the domain)\n"
-      "  failure_trace_path=     CSV failure trace (time_s,kind[,domain])\n"
-      "  restore_bandwidth=0     concurrent restores sharing the restore\n"
-      "                          path before it saturates; 0 = unlimited\n"
-      "  trace=                  CSV job trace to stream (replaces num_jobs)\n"
-      "  trace_jobs=0            synthetic streaming trace length; 0 off\n"
-      "  cron_period=0           recurring-job submission period (s); 0 off\n"
-      "  cron_phase=0            first cron submission time (s)\n"
-      "  cron_end=0              last eligible cron submission (s, inclusive)\n"
-      "  cron_class=medium       cron job class: small|medium|large|xlarge\n"
-      "  cron_priority=3         cron job priority\n"
-      "  queue_timeout=-1        abandon jobs queued this long (s); <0 off\n"
-      "  task_timeout=-1         kill jobs running this long (s); <0 off\n"
-      "  sweep_axis=none         none | submission_gap | rescale_gap |\n"
-      "                          refine_rate | lb_strategy | fault_mtbf |\n"
-      "                          checkpoint_period\n"
-      "  sweep_values=...        comma list of swept parameter values\n"
-      "  repeats=100             random mixes averaged per point\n"
-      "  seed=2025               base RNG seed (repeat r uses seed + r)\n";
+  constexpr std::size_t kColumn = 26;  // where descriptions start
+  constexpr std::size_t kWidth = 80;
+  const ScenarioSpec defaults;
+  std::string out;
+  for (const Key& key : key_table().keys) {
+    std::string line = "  " + key.name + "=" + key.render(defaults);
+    line.resize(std::max(line.size() + 2, kColumn), ' ');
+    std::istringstream words(key.help);
+    std::string word;
+    bool first = true;
+    while (words >> word) {
+      if (!first && line.size() + 1 + word.size() > kWidth) {
+        out += line + "\n";
+        line = std::string(kColumn, ' ') + word;
+      } else {
+        line += (first ? "" : " ") + word;
+      }
+      first = false;
+    }
+    out += line + "\n";
+  }
+  return out;
 }
 
 ScenarioSpec spec_from_config(const Config& cfg, ScenarioSpec base) {
   ScenarioSpec spec = std::move(base);
-  if (auto v = cfg.get("substrate")) spec.substrate = substrate_from_string(*v);
-  spec.nodes = cfg.get_int("nodes", spec.nodes);
-  spec.cpus_per_node = cfg.get_int("cpus_per_node", spec.cpus_per_node);
-  spec.num_jobs = cfg.get_int("num_jobs", spec.num_jobs);
-  spec.pods_per_job = cfg.get_int("pods_per_job", spec.pods_per_job);
-  spec.submission_gap_s = cfg.get_double("submission_gap", spec.submission_gap_s);
-  spec.rescale_gap_s = cfg.get_double("rescale_gap", spec.rescale_gap_s);
-  spec.calibrated = cfg.get_bool("calibrated", spec.calibrated);
-  if (auto v = cfg.get("app")) spec.app = *v;
-  spec.refine_rate = cfg.get_double("refine_rate", spec.refine_rate);
-  if (auto v = cfg.get("lb_strategy")) spec.lb_strategy = *v;
-  if (auto v = cfg.get("net_model")) spec.net_model = *v;
-  spec.net_oversub = cfg.get_double("net_oversub", spec.net_oversub);
-  spec.graph_vertices = cfg.get_int("graph_vertices", spec.graph_vertices);
-  spec.graph_skew = cfg.get_double("graph_skew", spec.graph_skew);
-  if (auto v = cfg.get("fault_times")) spec.faults.crash_times = parse_values(*v);
-  spec.faults.crash_mtbf_s =
-      cfg.get_double("fault_mtbf", spec.faults.crash_mtbf_s);
-  if (auto v = cfg.get("evict_times")) spec.faults.evict_times = parse_values(*v);
-  spec.faults.straggler_at_s =
-      cfg.get_double("straggler_at", spec.faults.straggler_at_s);
-  spec.faults.straggler_factor =
-      cfg.get_double("straggler_factor", spec.faults.straggler_factor);
-  spec.faults.checkpoint_period_s =
-      cfg.get_double("checkpoint_period", spec.faults.checkpoint_period_s);
-  spec.faults.detection_s =
-      cfg.get_double("fault_detection", spec.faults.detection_s);
-  spec.faults.max_failed_nodes =
-      cfg.get_int("max_failed_nodes", spec.faults.max_failed_nodes);
-  if (auto v = cfg.get("fault_domains")) {
-    spec.faults.domain_sizes = parse_domain_sizes(*v);
+  for (const Key& key : key_table().keys) {
+    if (const auto value = cfg.get(key.name)) key.parse(spec, *value);
   }
-  if (auto v = cfg.get("fault_domain_crash_times")) {
-    spec.faults.domain_crashes = parse_domain_crashes(*v);
-  }
-  if (auto v = cfg.get("failure_trace_path")) {
-    spec.faults.failure_trace_path = *v;
-  }
-  spec.faults.restore_bandwidth =
-      cfg.get_double("restore_bandwidth", spec.faults.restore_bandwidth);
-  if (auto v = cfg.get("trace")) spec.trace_path = *v;
-  spec.trace_jobs = cfg.get_int("trace_jobs", static_cast<int>(spec.trace_jobs));
-  spec.cron_period_s = cfg.get_double("cron_period", spec.cron_period_s);
-  spec.cron_phase_s = cfg.get_double("cron_phase", spec.cron_phase_s);
-  spec.cron_end_s = cfg.get_double("cron_end", spec.cron_end_s);
-  if (auto v = cfg.get("cron_class")) spec.cron_class = *v;
-  spec.cron_priority = cfg.get_int("cron_priority", spec.cron_priority);
-  spec.queue_timeout_s = cfg.get_double("queue_timeout", spec.queue_timeout_s);
-  spec.task_timeout_s = cfg.get_double("task_timeout", spec.task_timeout_s);
-  if (auto v = cfg.get("policies")) spec.policies = parse_policies(*v);
-  if (auto v = cfg.get("sweep_axis")) spec.axis = sweep_axis_from_string(*v);
-  if (auto v = cfg.get("sweep_values")) spec.axis_values = parse_values(*v);
-  spec.seed = static_cast<unsigned>(
-      cfg.get_int("seed", static_cast<int>(spec.seed)));
-  spec.repeats = cfg.get_int("repeats", spec.repeats);
   spec.validate();
   return spec;
 }
 
 std::string describe(const ScenarioSpec& spec) {
-  std::string out = "substrate=" + to_string(spec.substrate);
-  out += " nodes=" + std::to_string(spec.nodes);
-  out += " cpus_per_node=" + std::to_string(spec.cpus_per_node);
-  out += " num_jobs=" + std::to_string(spec.num_jobs);
-  if (spec.pods_per_job > 0) {
-    out += " pods_per_job=" + std::to_string(spec.pods_per_job);
+  std::string out;
+  for (const Key& key : key_table().keys) {
+    if (!key.shown(spec)) continue;
+    if (!out.empty()) out += ' ';
+    out += key.name + "=" + key.render(spec);
   }
-  out += " submission_gap=" + format_double(spec.submission_gap_s, 0);
-  out += " rescale_gap=" + format_double(spec.rescale_gap_s, 0);
-  out += std::string(" calibrated=") + (spec.calibrated ? "true" : "false");
-  out += " app=" + spec.app;
-  if (spec.app == "amr") {
-    out += " refine_rate=" + format_double(spec.refine_rate, 3);
-    out += " lb_strategy=" + spec.lb_strategy;
-  }
-  // Graph/network keys render only when set, so specs predating the graph
-  // app and the topology seam describe() byte-identically (recorded bench
-  // configs).
-  if (spec.app == "graph") {
-    out += " graph_vertices=" + std::to_string(spec.graph_vertices);
-    out += " graph_skew=" + format_double(spec.graph_skew, 3);
-    out += " lb_strategy=" + spec.lb_strategy;
-  }
-  if (spec.net_model != "flat") {
-    out += " net_model=" + spec.net_model;
-    out += " net_oversub=" +
-           format_double(spec.net_oversub,
-                         std::floor(spec.net_oversub) == spec.net_oversub ? 0
-                                                                          : 3);
-  }
-  if (!spec.faults.empty()) {
-    if (!spec.faults.crash_times.empty()) {
-      out += " fault_times=" + join_values(spec.faults.crash_times);
-    }
-    if (spec.faults.crash_mtbf_s > 0.0) {
-      out += " fault_mtbf=" + format_double(spec.faults.crash_mtbf_s, 0);
-    }
-    if (!spec.faults.evict_times.empty()) {
-      out += " evict_times=" + join_values(spec.faults.evict_times);
-    }
-    if (spec.faults.straggler_at_s >= 0.0) {
-      out += " straggler_at=" + format_double(spec.faults.straggler_at_s, 0);
-      out += " straggler_factor=" +
-             format_double(spec.faults.straggler_factor, 2);
-    }
-    if (spec.faults.checkpoint_period_s > 0.0) {
-      out += " checkpoint_period=" +
-             format_double(spec.faults.checkpoint_period_s, 0);
-    }
-    if (spec.faults.max_failed_nodes >= 0) {
-      out += " max_failed_nodes=" +
-             std::to_string(spec.faults.max_failed_nodes);
-    }
-    // Correlated-failure keys render only when set, so specs predating
-    // failure domains describe() byte-identically (recorded bench configs).
-    if (!spec.faults.domain_sizes.empty()) {
-      out += " fault_domains=" + join_domain_sizes(spec.faults.domain_sizes);
-    }
-    if (!spec.faults.domain_crashes.empty()) {
-      out += " fault_domain_crash_times=" +
-             join_domain_crashes(spec.faults.domain_crashes);
-    }
-    if (!spec.faults.failure_trace_path.empty()) {
-      out += " failure_trace_path=" + spec.faults.failure_trace_path;
-    }
-    if (spec.faults.restore_bandwidth > 0.0) {
-      out += " restore_bandwidth=" +
-             format_double(spec.faults.restore_bandwidth,
-                           std::floor(spec.faults.restore_bandwidth) ==
-                                   spec.faults.restore_bandwidth
-                               ? 0
-                               : 3);
-    }
-  }
-  // Trace keys render only when set, so specs predating the trace
-  // subsystem describe() byte-identically (recorded bench configs).
-  if (!spec.trace_path.empty()) out += " trace=" + spec.trace_path;
-  if (spec.trace_jobs > 0) {
-    out += " trace_jobs=" + std::to_string(spec.trace_jobs);
-  }
-  if (spec.cron_period_s > 0.0) {
-    out += " cron_period=" + format_double(spec.cron_period_s, 0);
-    out += " cron_phase=" + format_double(spec.cron_phase_s, 0);
-    out += " cron_end=" + format_double(spec.cron_end_s, 0);
-    out += " cron_class=" + spec.cron_class;
-    out += " cron_priority=" + std::to_string(spec.cron_priority);
-  }
-  if (spec.queue_timeout_s >= 0.0) {
-    out += " queue_timeout=" + format_double(spec.queue_timeout_s, 0);
-  }
-  if (spec.task_timeout_s >= 0.0) {
-    out += " task_timeout=" + format_double(spec.task_timeout_s, 0);
-  }
-  out += " policies=" + join_policies(spec.policies);
-  out += " sweep_axis=" + to_string(spec.axis);
-  if (!spec.axis_values.empty()) {
-    out += " sweep_values=" + join_values(spec.axis_values);
-  }
-  out += " repeats=" + std::to_string(spec.repeats);
-  out += " seed=" + std::to_string(spec.seed);
   return out;
 }
 

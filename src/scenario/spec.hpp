@@ -142,11 +142,23 @@ struct ScenarioSpec {
   void validate() const;
 };
 
-/// The strict `Config` keys `apply_config` understands, for
+/// Set the parameter `spec.axis` sweeps to one sweep value, through the
+/// setter of the config key the axis is named after (a no-op for kNone).
+/// kLbStrategy values index `charm::load_balancer_names()`; an index out
+/// of range raises ConfigError.
+void set_axis_value(ScenarioSpec& spec, double value);
+
+// Every scenario config key is one entry of a key table in spec.cpp: its
+// name, help, field binding, render-when rule, range check and optional
+// sweep-axis binding. The functions below are loops over that table, so a
+// new key is one table entry plus its ScenarioSpec field.
+
+/// The strict `Config` keys `spec_from_config` understands, for
 /// `Config::from_args` allow-lists and `--list-scenarios` output.
 const std::vector<std::string>& spec_config_keys();
 
-/// One help line per config key ("key=default  description").
+/// One help entry per config key ("key=default  description"), the default
+/// rendered from `ScenarioSpec{}` exactly as describe() renders values.
 std::string spec_config_help();
 
 /// Overlay `cfg`'s scenario keys onto `base` and validate the result.
@@ -155,7 +167,9 @@ std::string spec_config_help();
 ScenarioSpec spec_from_config(const Config& cfg, ScenarioSpec base = {});
 
 /// Compact "key=value ..." rendering of a spec (for --list-scenarios and
-/// recorded bench configs).
+/// recorded bench configs). Lossless: numbers render as the shortest text
+/// that parses back exactly, so spec_from_config(describe(spec)) restores
+/// every rendered value. Keys left at their "off" value are omitted.
 std::string describe(const ScenarioSpec& spec);
 
 }  // namespace ehpc::scenario

@@ -9,7 +9,6 @@
 #include <thread>
 #include <utility>
 
-#include "charm/load_balancer.hpp"
 #include "common/error.hpp"
 
 namespace ehpc::scenario {
@@ -64,35 +63,7 @@ void parallel_for(std::size_t n, int threads,
 /// Overlay one sweep-axis value onto a spec.
 ScenarioSpec at_axis_value(const ScenarioSpec& spec, double value) {
   ScenarioSpec point = spec;
-  switch (spec.axis) {
-    case SweepAxis::kNone:
-      break;
-    case SweepAxis::kSubmissionGap:
-      point.submission_gap_s = value;
-      break;
-    case SweepAxis::kRescaleGap:
-      point.rescale_gap_s = value;
-      break;
-    case SweepAxis::kRefineRate:
-      point.refine_rate = value;
-      break;
-    case SweepAxis::kLbStrategy:
-      point.lb_strategy =
-          charm::load_balancer_names().at(static_cast<std::size_t>(value));
-      break;
-    case SweepAxis::kFaultMtbf:
-      point.faults.crash_mtbf_s = value;
-      break;
-    case SweepAxis::kCheckpointPeriod:
-      point.faults.checkpoint_period_s = value;
-      break;
-    case SweepAxis::kGraphSkew:
-      point.graph_skew = value;
-      break;
-    case SweepAxis::kNetOversub:
-      point.net_oversub = value;
-      break;
-  }
+  set_axis_value(point, value);
   return point;
 }
 

@@ -11,6 +11,8 @@ namespace ehpc::schedsim {
 struct DomainCrash {
   double time_s = 0.0;
   int domain = 0;
+
+  bool operator==(const DomainCrash&) const = default;
 };
 
 /// Deterministic failure-injection plan, executed identically by both

@@ -107,6 +107,49 @@ TEST(Config, RequireKnownOnEmptyAllowedList) {
   EXPECT_NO_THROW(parse({}).require_known({}));
 }
 
+TEST(Config, TypedGettersRejectValuesThatDoNotParseInFull) {
+  Config c = parse({"partial=12abc", "word=abc", "empty=", "frac=1.5",
+                    "huge=99999999999", "tail=2.5x", "inf=inf", "nan=nan",
+                    "typo=ture", "padded= 7"});
+  EXPECT_THROW(c.get_int("partial", 0), ConfigError);
+  EXPECT_THROW(c.get_int("word", 0), ConfigError);
+  EXPECT_THROW(c.get_int("empty", 0), ConfigError);
+  EXPECT_THROW(c.get_int("frac", 0), ConfigError);
+  EXPECT_THROW(c.get_int("huge", 0), ConfigError);
+  EXPECT_THROW(c.get_int("padded", 0), ConfigError);
+  EXPECT_THROW(c.get_double("tail", 0.0), ConfigError);
+  EXPECT_THROW(c.get_double("empty", 0.0), ConfigError);
+  EXPECT_THROW(c.get_double("inf", 0.0), ConfigError);
+  EXPECT_THROW(c.get_double("nan", 0.0), ConfigError);
+  EXPECT_THROW(c.get_bool("typo", false), ConfigError);
+  EXPECT_THROW(c.get_bool("empty", false), ConfigError);
+  EXPECT_THROW(c.get_bool("partial", false), ConfigError);
+}
+
+TEST(Config, BadValueErrorNamesTheKeyAndTheValue) {
+  Config c = parse({"rescale_gap=12abc"});
+  try {
+    c.get_double("rescale_gap", 0.0);
+    FAIL() << "12abc parsed as a number";
+  } catch (const ConfigError& err) {
+    const std::string what = err.what();
+    EXPECT_NE(what.find("rescale_gap"), std::string::npos) << what;
+    EXPECT_NE(what.find("12abc"), std::string::npos) << what;
+  }
+}
+
+TEST(Config, StrictGettersStillAcceptWellFormedValues) {
+  Config c = parse({"i=-42", "d=1e3", "neg=-0.25", "B=FALSE", "n=No",
+                    "y=oN"});
+  EXPECT_EQ(c.get_int("i", 0), -42);
+  EXPECT_DOUBLE_EQ(c.get_double("d", 0.0), 1000.0);
+  EXPECT_DOUBLE_EQ(c.get_double("neg", 0.0), -0.25);
+  EXPECT_DOUBLE_EQ(c.get_double("i", 0.0), -42.0);
+  EXPECT_FALSE(c.get_bool("B", true));
+  EXPECT_FALSE(c.get_bool("n", true));
+  EXPECT_TRUE(c.get_bool("y", false));
+}
+
 TEST(Config, ValuesExposesOrderedMap) {
   Config c = parse({"b=2", "a=1"});
   ASSERT_EQ(c.values().size(), 2u);
