@@ -14,6 +14,8 @@ namespace {
 
 void run(bench::Reporter& rep, const Config& cfg) {
   const int iters = cfg.get_int("iters", 12);
+  // Calibration discards warmup and needs >= 3 iteration end times.
+  bench::check_flag(iters >= 3, cfg, "iters", ">= 3 iterations");
   const std::vector<int> replicas{4, 8, 16, 32, 64};
 
   Table& jacobi = rep.add_table(

@@ -19,6 +19,20 @@ void run(bench::Reporter& rep, const Config& cfg) {
   const int shrink_at = cfg.get_int("shrink_at", 1000);
   const int expand_at = cfg.get_int("expand_at", 2000);
   const int sample = cfg.get_int("sample", 10);
+  // The notes read the window of `sample` iterations that ends `sample`
+  // iterations before shrink_at, expand_at and iters; each must lie within
+  // the run's `iters` iteration end times.
+  const long long window = sample;
+  bench::check_flag(sample >= 1, cfg, "sample", "a window of >= 1 iteration");
+  bench::check_flag(iters >= 2 * window, cfg, "iters",
+                    ">= 2 * sample = " + std::to_string(2 * window));
+  const std::string range = "an iteration in [2 * sample, iters + sample) = [" +
+                            std::to_string(2 * window) + ", " +
+                            std::to_string(iters + window) + ")";
+  bench::check_flag(shrink_at >= 2 * window && shrink_at < iters + window, cfg,
+                    "shrink_at", range);
+  bench::check_flag(expand_at >= 2 * window && expand_at < iters + window, cfg,
+                    "expand_at", range);
 
   charm::RuntimeConfig rc;
   rc.num_pes = 32;

@@ -23,13 +23,12 @@ using elastic::PolicyMode;
 namespace {
 
 void run(bench::Reporter& rep, const Config& cfg) {
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioRegistry::instance().require("fig9_cluster");
-  spec.seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
+  // seed, rescale_gap and calibrated are scenario keys of the same name;
+  // gap and bucket are not.
+  scenario::ScenarioSpec spec = scenario::resolve_scenario(cfg, "fig9_cluster");
   spec.submission_gap_s = cfg.get_double("gap", 90.0);
-  spec.rescale_gap_s = cfg.get_double("rescale_gap", 180.0);
-  spec.calibrated = cfg.get_bool("calibrated", true);
   const double bucket = cfg.get_double("bucket", 60.0);
+  bench::check_flag(bucket > 0.0, cfg, "bucket", "a width > 0 seconds");
 
   const auto mix = scenario::make_mix(spec, spec.seed);
   const auto results = scenario::run_policies(spec, mix);

@@ -7,105 +7,67 @@
 // The experiments are the registered "amr_imbalance" / "amr_lb_ablation"
 // scenarios; this driver overlays flags and renders tables.
 
-#include <tuple>
-
 #include "apps/calibration.hpp"
 #include "bench/lib/registry.hpp"
+#include "bench/lib/scenario_tables.hpp"
 #include "charm/load_balancer.hpp"
 #include "common/config.hpp"
-#include "common/table.hpp"
-#include "schedsim/calibrate.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/sweep.hpp"
+#include "schedsim/calibrate.hpp"
 
 using namespace ehpc;
-using elastic::PolicyMode;
 
 namespace {
 
 void run(bench::Reporter& rep, const Config& cfg) {
-  const int repeats = cfg.get_int("repeats", 20);
-  const auto seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
   const int threads = cfg.get_int("threads", 1);
+  using M = elastic::RunMetrics;
 
   // ---- panel a: refinement-rate sweep ----
-  scenario::ScenarioSpec imbalance =
-      scenario::ScenarioRegistry::instance().require("amr_imbalance");
-  imbalance.repeats = repeats;
-  imbalance.seed = seed;
-  const auto imbalance_points = scenario::run_sweep(imbalance, threads).points;
-
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      metrics{{"fig_amr_a1_utilization", "AMR panel a: cluster utilization",
-               &elastic::RunMetrics::utilization},
-              {"fig_amr_a2_total_time", "AMR panel a: total time (s)",
-               &elastic::RunMetrics::total_time_s},
-              {"fig_amr_a3_completion",
-               "AMR panel a: weighted mean completion time (s)",
-               &elastic::RunMetrics::weighted_completion_s},
-              {"fig_amr_a4_lb_ratio",
-               "AMR panel a: mean post-LB max/avg load ratio",
-               &elastic::RunMetrics::lb_post_ratio}};
-  for (const auto& [id, title, member] : metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs refinement rate",
-        {"refine_rate", "elastic", "moldable", "min_replicas", "max_replicas"});
-    for (const auto& pt : imbalance_points) {
-      table.add_row(
-          {format_double(pt.x, 3),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 3)});
-    }
-  }
+  const scenario::ScenarioSpec imbalance =
+      scenario::resolve_scenario(cfg, "amr_imbalance");
+  bench::add_policy_tables(
+      rep,
+      {{"fig_amr_a1_utilization", &M::utilization, 3,
+        "AMR panel a: cluster utilization"},
+       {"fig_amr_a2_total_time", &M::total_time_s, 3,
+        "AMR panel a: total time (s)"},
+       {"fig_amr_a3_completion", &M::weighted_completion_s, 3,
+        "AMR panel a: weighted mean completion time (s)"},
+       {"fig_amr_a4_lb_ratio", &M::lb_post_ratio, 3,
+        "AMR panel a: mean post-LB max/avg load ratio"}},
+      " vs refinement rate", "refine_rate", imbalance.axis,
+      scenario::run_sweep(imbalance, threads).points, bench::kFigurePolicies);
 
   // ---- panel b: rescale stage timings under imbalance, per LB strategy ----
-  Table& stages = rep.add_table(
-      "fig_amr_b_rescale_stages",
+  bench::add_rescale_stage_table(
+      rep, "fig_amr_b_rescale_stages",
       "AMR panel b: 32 -> 16 shrink with a developed refinement front "
       "(minicharm, large class)",
-      {"strategy", "lb_s", "ckpt_s", "restart_s", "restore_s", "total_s",
-       "migrated_objects"});
-  for (const std::string& lb : charm::load_balancer_names()) {
-    charm::RuntimeConfig rc;
-    rc.load_balancer = lb;
-    const apps::AmrConfig config =
-        schedsim::amr_config_for(elastic::JobClass::kLarge, /*refine_rate=*/0.12);
-    const auto t = apps::measure_amr_rescale(config, 32, 16, /*warmup=*/8, rc);
-    stages.add_row({lb, format_double(t.load_balance_s, 4),
-                    format_double(t.checkpoint_s, 4),
-                    format_double(t.restart_s, 4),
-                    format_double(t.restore_s, 4), format_double(t.total(), 4),
-                    std::to_string(t.migrated_objects)});
-  }
+      charm::load_balancer_names(), [](const charm::RuntimeConfig& rc) {
+        const apps::AmrConfig config = schedsim::amr_config_for(
+            elastic::JobClass::kLarge, /*refine_rate=*/0.12);
+        return apps::measure_amr_rescale(config, 32, 16, /*warmup=*/8, rc);
+      });
 
   // ---- panel c: LB strategy ablation on the scheduler metrics ----
-  scenario::ScenarioSpec ablation =
-      scenario::ScenarioRegistry::instance().require("amr_lb_ablation");
-  ablation.repeats = repeats;
-  ablation.seed = seed;
-  const auto ablation_points = scenario::run_sweep(ablation, threads).points;
-  Table& lb_table = rep.add_table(
-      "fig_amr_c_lb_ablation",
-      "AMR panel c: elastic policy per runtime LB strategy",
-      {"strategy", "utilization", "total_s", "completion_s", "lb_post_ratio",
-       "migrations_per_step"});
-  for (const auto& pt : ablation_points) {
-    const auto& m = pt.metrics.at(PolicyMode::kElastic);
-    lb_table.add_row(
-        {charm::load_balancer_names().at(static_cast<std::size_t>(pt.x)),
-         format_double(m.utilization, 3), format_double(m.total_time_s, 1),
-         format_double(m.weighted_completion_s, 2),
-         format_double(m.lb_post_ratio, 3),
-         format_double(m.lb_migrations_per_step, 2)});
-  }
+  const scenario::ScenarioSpec ablation =
+      scenario::resolve_scenario(cfg, "amr_lb_ablation");
+  bench::add_point_table(
+      rep, "fig_amr_c_lb_ablation",
+      "AMR panel c: elastic policy per runtime LB strategy", "strategy",
+      ablation.axis, scenario::run_sweep(ablation, threads).points,
+      elastic::PolicyMode::kElastic,
+      {{"utilization", &M::utilization, 3},
+       {"total_s", &M::total_time_s, 1},
+       {"completion_s", &M::weighted_completion_s, 2},
+       {"lb_post_ratio", &M::lb_post_ratio, 3},
+       {"migrations_per_step", &M::lb_migrations_per_step, 2}});
 
   std::string note = "(";
-  note += std::to_string(repeats);
+  note += std::to_string(imbalance.repeats);
   note += " random mixes per point, seed ";
-  note += std::to_string(seed);
+  note += std::to_string(imbalance.seed);
   note += "; AMR workloads are minicharm-calibrated per sweep point)";
   rep.note(note);
 }

@@ -18,14 +18,10 @@
 // The experiments are the registered fault scenarios; this driver overlays
 // flags and renders tables.
 
-#include <tuple>
-
 #include "bench/lib/registry.hpp"
-#include "charm/load_balancer.hpp"
+#include "bench/lib/scenario_tables.hpp"
 #include "common/config.hpp"
-#include "common/table.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/sweep.hpp"
 
 using namespace ehpc;
 using elastic::PolicyMode;
@@ -41,75 +37,46 @@ std::string join_values_text(const std::vector<double>& values) {
   return out;
 }
 
-/// One row per policy: the §4.3 metrics plus the recovery accounting.
-void policy_rows(Table& table, const scenario::PolicyMetrics& metrics,
-                 const std::vector<PolicyMode>& policies) {
-  for (const auto mode : policies) {
-    const auto& m = metrics.at(mode);
-    table.add_row({elastic::to_string(mode), format_double(m.utilization, 3),
-                   format_double(m.total_time_s, 1),
-                   format_double(m.weighted_completion_s, 2),
-                   format_double(m.recovery_time_s, 2),
-                   format_double(m.lost_work_s, 2),
-                   format_double(m.goodput, 4),
-                   format_double(m.jobs_failed, 3)});
-  }
-}
-
 void run(bench::Reporter& rep, const Config& cfg) {
-  const int repeats = cfg.get_int("repeats", 20);
-  const auto seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
   const int threads = cfg.get_int("threads", 1);
+  // The columns the per-policy and per-point panels share.
+  using M = elastic::RunMetrics;
+  const bench::MetricColumn util{"utilization", &M::utilization, 3};
+  const bench::MetricColumn completion{"completion_s",
+                                       &M::weighted_completion_s, 2};
+  const bench::MetricColumn recovery_s{"recovery_s", &M::recovery_time_s, 2};
+  const bench::MetricColumn lost_work{"lost_work_s", &M::lost_work_s, 2};
+  const bench::MetricColumn goodput{"goodput", &M::goodput, 4};
 
   // ---- panel a: fixed crash/eviction schedule, per policy ----
-  scenario::ScenarioSpec recovery =
-      scenario::ScenarioRegistry::instance().require("fault_recovery");
-  recovery.repeats = repeats;
-  recovery.seed = seed;
-  const auto recovery_metrics = scenario::compare_policies(recovery, threads);
-  Table& recovery_table = rep.add_table(
-      "fig_fault_a_recovery",
+  const scenario::ScenarioSpec recovery =
+      scenario::resolve_scenario(cfg, "fault_recovery");
+  bench::add_policy_row_table(
+      rep, "fig_fault_a_recovery",
       "Fault panel a: fixed crash/eviction schedule (" +
           join_values_text(recovery.faults.crash_times) + " s crashes, " +
           join_values_text(recovery.faults.evict_times) +
           " s eviction, checkpoints every " +
           format_double(recovery.faults.checkpoint_period_s, 0) + " s)",
-      {"policy", "utilization", "total_s", "completion_s", "recovery_s",
-       "lost_work_s", "goodput", "jobs_failed"});
-  policy_rows(recovery_table, recovery_metrics, recovery.policies);
+      scenario::compare_policies(recovery, threads), recovery.policies,
+      {util, {"total_s", &M::total_time_s, 1}, completion, recovery_s,
+       lost_work, goodput, {"jobs_failed", &M::jobs_failed, 3}});
 
   // ---- panel b: MTBF sweep under a failure budget ----
-  scenario::ScenarioSpec churn =
-      scenario::ScenarioRegistry::instance().require("fault_churn");
-  churn.repeats = repeats;
-  churn.seed = seed;
-  const auto churn_points = scenario::run_sweep(churn, threads).points;
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      churn_metrics{
-          {"fig_fault_b1_utilization", "Fault panel b: cluster utilization",
-           &elastic::RunMetrics::utilization},
-          {"fig_fault_b2_completion",
-           "Fault panel b: weighted mean completion time (s)",
-           &elastic::RunMetrics::weighted_completion_s},
-          {"fig_fault_b3_goodput", "Fault panel b: mean per-job goodput",
-           &elastic::RunMetrics::goodput},
-          {"fig_fault_b4_jobs_failed",
-           "Fault panel b: jobs killed by the failure budget",
-           &elastic::RunMetrics::jobs_failed}};
-  for (const auto& [id, title, member] : churn_metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs crash MTBF",
-        {"mtbf_s", "elastic", "moldable", "min_replicas", "max_replicas"});
-    for (const auto& pt : churn_points) {
-      table.add_row(
-          {format_double(pt.x, 0),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 4),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 4),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 4),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 4)});
-    }
-  }
+  const scenario::ScenarioSpec churn =
+      scenario::resolve_scenario(cfg, "fault_churn");
+  bench::add_policy_tables(
+      rep,
+      {{"fig_fault_b1_utilization", &M::utilization, 4,
+        "Fault panel b: cluster utilization"},
+       {"fig_fault_b2_completion", &M::weighted_completion_s, 4,
+        "Fault panel b: weighted mean completion time (s)"},
+       {"fig_fault_b3_goodput", &M::goodput, 4,
+        "Fault panel b: mean per-job goodput"},
+       {"fig_fault_b4_jobs_failed", &M::jobs_failed, 4,
+        "Fault panel b: jobs killed by the failure budget"}},
+      " vs crash MTBF", "mtbf_s", churn.axis,
+      scenario::run_sweep(churn, threads).points, bench::kFigurePolicies);
 
   // ---- panel c: checkpoint-period tradeoff at fixed MTBF ----
   scenario::ScenarioSpec period = churn;
@@ -118,70 +85,40 @@ void run(bench::Reporter& rep, const Config& cfg) {
   period.faults.checkpoint_period_s = 0.0;  // the axis supplies it per point
   period.axis = scenario::SweepAxis::kCheckpointPeriod;
   period.axis_values = {75, 150, 300, 600, 1200};
-  const auto period_points = scenario::run_sweep(period, threads).points;
-  Table& period_table = rep.add_table(
-      "fig_fault_c_checkpoint_period",
+  bench::add_point_table(
+      rep, "fig_fault_c_checkpoint_period",
       "Fault panel c: elastic policy vs checkpoint period at MTBF " +
           format_double(period.faults.crash_mtbf_s, 0) + " s",
-      {"period_s", "utilization", "completion_s", "recovery_s", "lost_work_s",
-       "goodput"});
-  for (const auto& pt : period_points) {
-    const auto& m = pt.metrics.at(PolicyMode::kElastic);
-    period_table.add_row({format_double(pt.x, 0),
-                          format_double(m.utilization, 3),
-                          format_double(m.weighted_completion_s, 2),
-                          format_double(m.recovery_time_s, 2),
-                          format_double(m.lost_work_s, 2),
-                          format_double(m.goodput, 4)});
-  }
+      "period_s", period.axis, scenario::run_sweep(period, threads).points,
+      PolicyMode::kElastic,
+      {util, completion, recovery_s, lost_work, goodput});
 
   // ---- panel d: LB ablation under a crash chain (AMR workload) ----
-  scenario::ScenarioSpec ablation =
-      scenario::ScenarioRegistry::instance().require("fault_lb_ablation");
-  ablation.repeats = repeats;
-  ablation.seed = seed;
-  const auto ablation_points = scenario::run_sweep(ablation, threads).points;
-  Table& lb_table = rep.add_table(
-      "fig_fault_d_lb_ablation",
+  const scenario::ScenarioSpec ablation =
+      scenario::resolve_scenario(cfg, "fault_lb_ablation");
+  bench::add_point_table(
+      rep, "fig_fault_d_lb_ablation",
       "Fault panel d: elastic policy per runtime LB strategy, crash MTBF " +
           format_double(ablation.faults.crash_mtbf_s, 0) + " s",
-      {"strategy", "utilization", "completion_s", "recovery_s", "lost_work_s",
-       "goodput", "lb_post_ratio"});
-  for (const auto& pt : ablation_points) {
-    const auto& m = pt.metrics.at(PolicyMode::kElastic);
-    lb_table.add_row(
-        {charm::load_balancer_names().at(static_cast<std::size_t>(pt.x)),
-         format_double(m.utilization, 3),
-         format_double(m.weighted_completion_s, 2),
-         format_double(m.recovery_time_s, 2),
-         format_double(m.lost_work_s, 2), format_double(m.goodput, 4),
-         format_double(m.lb_post_ratio, 3)});
-  }
+      "strategy", ablation.axis, scenario::run_sweep(ablation, threads).points,
+      PolicyMode::kElastic,
+      {util, completion, recovery_s, lost_work, goodput,
+       {"lb_post_ratio", &M::lb_post_ratio, 3}});
 
   // ---- panel e: rack-level correlated loss, per policy ----
-  scenario::ScenarioSpec correlated =
-      scenario::ScenarioRegistry::instance().require("fault_correlated");
-  correlated.repeats = repeats;
-  correlated.seed = seed;
+  const scenario::ScenarioSpec correlated =
+      scenario::resolve_scenario(cfg, "fault_correlated");
   const auto correlated_metrics =
       scenario::compare_policies(correlated, threads);
-  Table& correlated_table = rep.add_table(
-      "fig_fault_e_correlated",
+  bench::add_policy_row_table(
+      rep, "fig_fault_e_correlated",
       "Fault panel e: rack-level correlated loss (domains " +
           std::to_string(correlated.faults.domain_sizes.size()) +
           " x 16 slots, domain crashes at 500/1300 s)",
-      {"policy", "utilization", "completion_s", "recovery_s", "lost_work_s",
-       "goodput", "correlated_failures", "node_failures"});
-  for (const auto mode : correlated.policies) {
-    const auto& m = correlated_metrics.at(mode);
-    correlated_table.add_row(
-        {elastic::to_string(mode), format_double(m.utilization, 3),
-         format_double(m.weighted_completion_s, 2),
-         format_double(m.recovery_time_s, 2),
-         format_double(m.lost_work_s, 2), format_double(m.goodput, 4),
-         format_double(m.correlated_failures, 3),
-         format_double(m.failures, 3)});
-  }
+      correlated_metrics, correlated.policies,
+      {util, completion, recovery_s, lost_work, goodput,
+       {"correlated_failures", &M::correlated_failures, 3},
+       {"node_failures", &M::failures, 3}});
 
   // ---- panel e2: correlated vs independent loss at the same instants ----
   // The independent plan replaces each domain crash with a single-node
@@ -215,36 +152,28 @@ void run(bench::Reporter& rep, const Config& cfg) {
   }
 
   // ---- panel f: recovery storm vs restore bandwidth ----
-  scenario::ScenarioSpec storm =
-      scenario::ScenarioRegistry::instance().require("fault_storm");
+  scenario::ScenarioSpec storm = scenario::resolve_scenario(cfg, "fault_storm");
   storm.name = "custom";
-  storm.repeats = repeats;
-  storm.seed = seed;
   storm.policies = {PolicyMode::kElastic};
-  Table& storm_table = rep.add_table(
-      "fig_fault_f_storm",
-      "Fault panel f: elastic policy as the restore path saturates (32-slot "
-      "domain crash at 600 s; bandwidth 0 = unlimited)",
-      {"restore_bw", "completion_s", "recovery_s", "storm_peak_restorers",
-       "storm_delay_s", "goodput"});
+  std::vector<scenario::SweepPoint> storm_points;
   for (const double bw : {0.0, 8.0, 4.0, 2.0, 1.0}) {
     storm.faults.restore_bandwidth = bw;
-    // By value: compare_policies returns the map by value, so binding a
-    // reference through .at() would dangle into the destroyed temporary.
-    const elastic::RunMetrics m =
-        scenario::compare_policies(storm, threads).at(PolicyMode::kElastic);
-    storm_table.add_row({format_double(bw, 0),
-                         format_double(m.weighted_completion_s, 2),
-                         format_double(m.recovery_time_s, 2),
-                         format_double(m.storm_peak_restorers, 2),
-                         format_double(m.storm_delay_s, 2),
-                         format_double(m.goodput, 4)});
+    storm_points.push_back({bw, scenario::compare_policies(storm, threads)});
   }
+  bench::add_point_table(
+      rep, "fig_fault_f_storm",
+      "Fault panel f: elastic policy as the restore path saturates (32-slot "
+      "domain crash at 600 s; bandwidth 0 = unlimited)",
+      "restore_bw", scenario::SweepAxis::kNone, storm_points,
+      PolicyMode::kElastic,
+      {completion, recovery_s,
+       {"storm_peak_restorers", &M::storm_peak_restorers, 2},
+       {"storm_delay_s", &M::storm_delay_s, 2}, goodput});
 
   std::string note = "(";
-  note += std::to_string(repeats);
+  note += std::to_string(recovery.repeats);
   note += " random mixes per point, seed ";
-  note += std::to_string(seed);
+  note += std::to_string(recovery.seed);
   note += "; fault plans are deterministic, so both substrates replay the "
           "identical failure sequence)";
   rep.note(note);

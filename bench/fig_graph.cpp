@@ -15,20 +15,16 @@
 // top.
 
 #include <string>
-#include <tuple>
-#include <vector>
 
 #include "apps/graph.hpp"
 #include "bench/lib/registry.hpp"
+#include "bench/lib/scenario_tables.hpp"
 #include "charm/runtime.hpp"
 #include "common/config.hpp"
-#include "common/table.hpp"
 #include "net/network_model.hpp"
 #include "scenario/registry.hpp"
-#include "scenario/sweep.hpp"
 
 using namespace ehpc;
-using elastic::PolicyMode;
 
 namespace {
 
@@ -51,41 +47,23 @@ double mean_step_seconds(const apps::GraphConfig& config,
 }
 
 void run(bench::Reporter& rep, const Config& cfg) {
-  const int repeats = cfg.get_int("repeats", 20);
-  const auto seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
   const int threads = cfg.get_int("threads", 1);
   const int vertices = cfg.get_int("vertices", 16384);
+  using M = elastic::RunMetrics;
 
   // ---- panel a: skew sweep through the scheduler ----
-  scenario::ScenarioSpec superstep =
-      scenario::ScenarioRegistry::instance().require("graph_superstep");
-  superstep.repeats = repeats;
-  superstep.seed = seed;
-  const auto skew_points = scenario::run_sweep(superstep, threads).points;
-
-  const std::vector<std::tuple<std::string, std::string,
-                               double elastic::RunMetrics::*>>
-      metrics{{"fig_graph_a1_utilization",
-               "Graph panel a: cluster utilization",
-               &elastic::RunMetrics::utilization},
-              {"fig_graph_a2_total_time", "Graph panel a: total time (s)",
-               &elastic::RunMetrics::total_time_s},
-              {"fig_graph_a3_completion",
-               "Graph panel a: weighted mean completion time (s)",
-               &elastic::RunMetrics::weighted_completion_s}};
-  for (const auto& [id, title, member] : metrics) {
-    Table& table = rep.add_table(
-        id, title + " vs power-law skew",
-        {"graph_skew", "elastic", "moldable", "min_replicas", "max_replicas"});
-    for (const auto& pt : skew_points) {
-      table.add_row(
-          {format_double(pt.x, 3),
-           format_double(pt.metrics.at(PolicyMode::kElastic).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kMoldable).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMin).*member, 3),
-           format_double(pt.metrics.at(PolicyMode::kRigidMax).*member, 3)});
-    }
-  }
+  const scenario::ScenarioSpec superstep =
+      scenario::resolve_scenario(cfg, "graph_superstep");
+  bench::add_policy_tables(
+      rep,
+      {{"fig_graph_a1_utilization", &M::utilization, 3,
+        "Graph panel a: cluster utilization"},
+       {"fig_graph_a2_total_time", &M::total_time_s, 3,
+        "Graph panel a: total time (s)"},
+       {"fig_graph_a3_completion", &M::weighted_completion_s, 3,
+        "Graph panel a: weighted mean completion time (s)"}},
+      " vs power-law skew", "graph_skew", superstep.axis,
+      scenario::run_sweep(superstep, threads).points, bench::kFigurePolicies);
 
   // ---- panel b: oversubscription vs LB strategy on the runtime ----
   apps::GraphConfig config;
@@ -113,30 +91,23 @@ void run(bench::Reporter& rep, const Config& cfg) {
   }
 
   // ---- panel c: LB ablation through the scheduler ----
-  scenario::ScenarioSpec ablation =
-      scenario::ScenarioRegistry::instance().require("graph_lb_ablation");
-  ablation.repeats = repeats;
-  ablation.seed = seed;
-  const auto ablation_points = scenario::run_sweep(ablation, threads).points;
-  Table& lb_table = rep.add_table(
-      "fig_graph_c_lb_ablation",
+  const scenario::ScenarioSpec ablation =
+      scenario::resolve_scenario(cfg, "graph_lb_ablation");
+  bench::add_point_table(
+      rep, "fig_graph_c_lb_ablation",
       "Graph panel c: elastic policy per runtime LB strategy "
       "(fat-tree, oversub 4)",
-      {"strategy", "utilization", "total_s", "completion_s",
-       "migrations_per_step"});
-  for (const auto& pt : ablation_points) {
-    const auto& m = pt.metrics.at(PolicyMode::kElastic);
-    lb_table.add_row(
-        {charm::load_balancer_names().at(static_cast<std::size_t>(pt.x)),
-         format_double(m.utilization, 3), format_double(m.total_time_s, 1),
-         format_double(m.weighted_completion_s, 2),
-         format_double(m.lb_migrations_per_step, 2)});
-  }
+      "strategy", ablation.axis, scenario::run_sweep(ablation, threads).points,
+      elastic::PolicyMode::kElastic,
+      {{"utilization", &M::utilization, 3},
+       {"total_s", &M::total_time_s, 1},
+       {"completion_s", &M::weighted_completion_s, 2},
+       {"migrations_per_step", &M::lb_migrations_per_step, 2}});
 
   std::string note = "(";
-  note += std::to_string(repeats);
+  note += std::to_string(superstep.repeats);
   note += " random mixes per scenario point, seed ";
-  note += std::to_string(seed);
+  note += std::to_string(superstep.seed);
   note += "; panel b runs minicharm directly with ";
   note += std::to_string(vertices);
   note += " vertices)";

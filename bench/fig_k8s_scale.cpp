@@ -41,8 +41,6 @@ struct ScalePoint {
 };
 
 void run(bench::Reporter& rep, const Config& cfg) {
-  const auto seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
-
   // nodes ∈ {100, 1k, 10k}; total worker pods 1.6k → 10k → 100k.
   const std::vector<ScalePoint> points{
       {100, 100, 16, 10.0},
@@ -58,15 +56,14 @@ void run(bench::Reporter& rep, const Config& cfg) {
        "nodes_examined", "examined_per_bind", "utilization", "total_time_s"});
 
   std::string timing = "wall clock per row:";
-  scenario::ScenarioSpec base =
-      scenario::ScenarioRegistry::instance().require("k8s_scale");
+  const scenario::ScenarioSpec base =
+      scenario::resolve_scenario(cfg, "k8s_scale");
   for (const ScalePoint& point : points) {
     scenario::ScenarioSpec spec = base;
     spec.nodes = point.nodes;
     spec.num_jobs = point.num_jobs;
     spec.pods_per_job = point.pods_per_job;
     spec.submission_gap_s = point.submission_gap_s;
-    spec.seed = seed;
     spec.validate();
 
     const auto workloads = scenario::workloads_for(spec);
@@ -111,7 +108,7 @@ void run(bench::Reporter& rep, const Config& cfg) {
   }
   rep.note(timing);
   std::string note = "(seed ";
-  note += std::to_string(seed);
+  note += std::to_string(base.seed);
   note += "; counter cells are virtual-time deterministic — wall clock is "
           "reported only in the note above and via the bench wall_ms)";
   rep.note(note);

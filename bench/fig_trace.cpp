@@ -35,12 +35,12 @@ using namespace ehpc;
 namespace {
 
 void run(bench::Reporter& rep, const Config& cfg) {
-  const auto seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
   const long max_jobs = cfg.get_int("max_jobs", 1000000);
   const long policy_jobs = cfg.get_int("policy_jobs", 2000);
 
   const scenario::ScenarioSpec base =
-      scenario::ScenarioRegistry::instance().require("trace_replay");
+      scenario::resolve_scenario(cfg, "trace_replay");
+  const unsigned seed = base.seed;
 
   // ---- scale rows: one streamed replay per trace length ----
   Table& scale = rep.add_table(
@@ -55,7 +55,6 @@ void run(bench::Reporter& rep, const Config& cfg) {
     if (jobs > max_jobs) continue;
     scenario::ScenarioSpec spec = base;
     spec.trace_jobs = jobs;
-    spec.seed = seed;
     spec.validate();
 
     bench::Timer timer;
@@ -94,7 +93,6 @@ void run(bench::Reporter& rep, const Config& cfg) {
   // ---- policy comparison on the registry scenario ----
   scenario::ScenarioSpec policy_spec = base;
   policy_spec.trace_jobs = policy_jobs;
-  policy_spec.seed = seed;
   policy_spec.validate();
 
   Table& policies = rep.add_table(

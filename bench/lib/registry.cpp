@@ -23,6 +23,13 @@ const BenchDef* Registry::find(const std::string& name) const {
   return nullptr;
 }
 
+void check_flag(bool ok, const Config& cfg, const std::string& key,
+                const std::string& expected) {
+  if (ok) return;
+  throw ConfigError("bad value '" + cfg.get_or(key, "") + "' for '" + key +
+                    "': expected " + expected);
+}
+
 RegisterBench::RegisterBench(BenchDef def) {
   Registry::instance().add(std::move(def));
 }

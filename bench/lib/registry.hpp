@@ -20,6 +20,12 @@ struct FlagSpec {
   std::string help;
 };
 
+/// A bench's range check of a flag value that parsed: unless `ok`, throw
+/// ConfigError "bad value 'V' for 'KEY': expected EXPECTED" (the runner
+/// reports it with the usage text and exit 2).
+void check_flag(bool ok, const Config& cfg, const std::string& key,
+                const std::string& expected);
+
 /// A registered benchmark: metadata plus the body that fills a Reporter.
 struct BenchDef {
   std::string name;

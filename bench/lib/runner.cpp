@@ -5,9 +5,11 @@
 #include <fstream>
 #include <iostream>
 
+#include "bench/lib/scenario_tables.hpp"
 #include "bench/lib/timer.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
+#include "scenario/registry.hpp"
 
 namespace ehpc::bench {
 
@@ -24,6 +26,166 @@ void reject_positional(const Config& cfg) {
   throw ConfigError("unexpected positional argument '" +
                     cfg.positional().front() +
                     "'; all options take the form key=value");
+}
+
+const char* const kRunAllUsage =
+    "usage: bench_run_all [key=value ...]\n"
+    "Run every registered bench and write CSVs + summary.json.\n\nflags:\n"
+    "  out_dir=bench_out  output directory for CSVs and summary.json\n"
+    "  quick=false        CI-sized quick profile (--quick works too)\n"
+    "  only=SUBSTR        run only benches whose name contains SUBSTR\n"
+    "  list=false         list registered benches and exit\n"
+    "  seed=N             override the seed flag of benches that have one\n"
+    "  threads=1          worker threads for benches that sweep (0 = auto)\n"
+    "  list_scenarios=false  list registered scenarios and exit\n"
+    "  scenario=NAME         run one registry scenario through the sweep\n"
+    "                        engine instead of the bench registry; all\n"
+    "                        scenario keys (num_jobs=, sweep_values=, ...)\n"
+    "                        become overrides\n";
+
+/// Render a sweep as one table per §4.3 metric (columns = policies), plus
+/// the LB health columns for AMR and the recovery accounting when the plan
+/// (or the sweep axis) injects failures.
+void report_sweep(Reporter& rep, const scenario::ScenarioSpec& spec,
+                  const scenario::SweepResult& sweep) {
+  using M = elastic::RunMetrics;
+  std::vector<MetricColumn> metrics{
+      {"utilization", &M::utilization},
+      {"total_time_s", &M::total_time_s},
+      {"response_s", &M::weighted_response_s},
+      {"completion_s", &M::weighted_completion_s}};
+  if (spec.app == "amr") {
+    metrics.push_back({"lb_post_ratio", &M::lb_post_ratio});
+    metrics.push_back({"lb_migrations_per_step", &M::lb_migrations_per_step});
+  }
+  if (!spec.faults.empty() || spec.axis == scenario::SweepAxis::kFaultMtbf ||
+      spec.axis == scenario::SweepAxis::kCheckpointPeriod) {
+    metrics.push_back({"recovery_time_s", &M::recovery_time_s});
+    metrics.push_back({"lost_work_s", &M::lost_work_s});
+    metrics.push_back({"goodput", &M::goodput});
+    metrics.push_back({"jobs_failed", &M::jobs_failed});
+  }
+  for (auto& metric : metrics) metric.title = metric.id;
+
+  const bool axis_in_seconds =
+      spec.axis == scenario::SweepAxis::kSubmissionGap ||
+      spec.axis == scenario::SweepAxis::kRescaleGap;
+  const std::string x_header =
+      spec.axis == scenario::SweepAxis::kNone
+          ? "x"
+          : to_string(spec.axis) + (axis_in_seconds ? "_s" : "");
+  add_policy_tables(rep, metrics, " per policy (" + spec.name + ")", x_header,
+                    spec.axis, sweep.points, spec.policies);
+  rep.note("scenario " + spec.name + ": " + spec.description);
+  rep.note(describe(spec));
+}
+
+/// bench_run_all scenario=NAME: one registry scenario, with per-key
+/// overrides, through the sweep engine.
+int run_scenario(const Config& cfg) {
+  // Bench-loop flags have no effect on a scenario run; reject them instead
+  // of silently ignoring them.
+  for (const char* key : {"quick", "only", "list"}) {
+    if (cfg.has(key)) {
+      std::cerr << "error: '" << key << "' does not apply to scenario mode\n";
+      return 2;
+    }
+  }
+  const scenario::ScenarioSpec spec = scenario::resolve_scenario(cfg);
+  const int threads = cfg.get_int("threads", 1);
+
+  std::cout << "[scenario] " << spec.name << " (threads=" << threads << ") ..."
+            << std::flush;
+  Reporter reporter("scenario_" + spec.name);
+  Timer timer;
+  scenario::SweepResult sweep;
+  try {
+    sweep = scenario::run_sweep(spec, threads);
+  } catch (const std::exception& err) {
+    std::cout << " FAILED\n";
+    std::cerr << "error: scenario " << spec.name << ": " << err.what() << "\n";
+    return 1;
+  }
+  reporter.set_wall_ms(timer.elapsed_ms());
+  report_sweep(reporter, spec, sweep);
+
+  std::map<std::string, std::string> config;
+  for (const auto& key : scenario::spec_config_keys()) {
+    if (auto value = cfg.get(key)) config[key] = *value;
+  }
+  config["scenario"] = spec.name;
+  reporter.set_config(std::move(config));
+
+  std::cout << " " << format_double(reporter.wall_ms(), 0) << " ms\n"
+            << reporter.to_text();
+  if (auto dir = cfg.get("out_dir")) {
+    write_outputs({reporter}, *dir, "scenario");
+    std::cout << "wrote " << *dir << "/summary.json\n";
+  }
+  return 0;
+}
+
+/// bench_run_all without scenario=: the bench registry loop.
+int run_benches(const Config& cfg) {
+  // Without scenario=, the spec keys would be parsed but never reach the
+  // bench loop (which only forwards seed/threads) — keep unknown-key
+  // strictness by rejecting them instead of silently ignoring them.
+  for (const auto& key : scenario::spec_config_keys()) {
+    if (key != "seed" && cfg.has(key)) {
+      std::cerr << "error: '" << key
+                << "' only applies to scenario mode; add scenario=NAME "
+                   "(see --list-scenarios)\n";
+      return 2;
+    }
+  }
+
+  const auto& benches = Registry::instance().benches();
+  if (cfg.get_bool("list", false)) {
+    for (const auto& def : benches) {
+      std::cout << def.name << ": " << def.description << "\n";
+    }
+    return 0;
+  }
+
+  const bool quick = cfg.get_bool("quick", false);
+  const std::string only = cfg.get_or("only", "");
+  const std::string out_dir = cfg.get_or("out_dir", "bench_out");
+
+  std::vector<Reporter> runs;
+  Timer total;
+  for (const auto& def : benches) {
+    if (!only.empty() && def.name.find(only) == std::string::npos) continue;
+    Config bench_cfg;
+    if (auto seed = cfg.get("seed")) {
+      const bool has_seed_flag =
+          std::any_of(def.flags.begin(), def.flags.end(),
+                      [](const FlagSpec& f) { return f.key == "seed"; });
+      if (has_seed_flag) bench_cfg.set("seed", *seed);
+    }
+    if (auto threads = cfg.get("threads")) bench_cfg.set("threads", *threads);
+    std::cout << "[bench] " << def.name << " ..." << std::flush;
+    try {
+      runs.push_back(run_bench(def, bench_cfg, quick));
+    } catch (const std::exception& err) {
+      std::cout << " FAILED\n";
+      std::cerr << "error: " << def.name << ": " << err.what() << "\n";
+      return dynamic_cast<const ConfigError*>(&err) != nullptr ? 2 : 1;
+    }
+    const Reporter& rep = runs.back();
+    std::cout << " " << format_double(rep.wall_ms(), 0) << " ms, "
+              << rep.entries().size() << " tables\n";
+  }
+
+  if (runs.empty()) {
+    std::cerr << "error: no bench matches only=" << only << "\n";
+    return 1;
+  }
+
+  write_outputs(runs, out_dir, quick ? "quick" : "default");
+  std::cout << "wrote " << out_dir << "/summary.json (" << runs.size()
+            << " benches, " << format_double(total.elapsed_ms(), 0)
+            << " ms total)\n";
+  return 0;
 }
 
 }  // namespace
@@ -106,103 +268,51 @@ int standalone_main(int argc, const char* const* argv) {
   EHPC_EXPECTS(benches.size() == 1);
   const BenchDef& def = benches.front();
 
-  Config cfg;
   try {
-    cfg = parse_bench_config(def, argc, argv);
+    const Config cfg = parse_bench_config(def, argc, argv);
+    const bool quick = cfg.get_bool("quick", false);
+    const Reporter reporter = run_bench(def, cfg, quick);
+    std::cout << (cfg.get_bool("csv", false) ? reporter.to_csv()
+                                             : reporter.to_text());
+    if (auto dir = cfg.get("out_dir")) {
+      write_outputs({reporter}, *dir, quick ? "quick" : "default");
+      std::cout << "wrote " << *dir << "/summary.json\n";
+    }
   } catch (const ConfigError& err) {
     std::cerr << "error: " << err.what() << "\n\n" << usage(def);
     return 2;
-  }
-
-  const bool quick = cfg.get_bool("quick", false);
-  const Reporter reporter = run_bench(def, cfg, quick);
-  std::cout << (cfg.get_bool("csv", false) ? reporter.to_csv()
-                                           : reporter.to_text());
-  if (auto dir = cfg.get("out_dir")) {
-    write_outputs({reporter}, *dir, quick ? "quick" : "default");
-    std::cout << "wrote " << *dir << "/summary.json\n";
+  } catch (const std::exception& err) {
+    std::cerr << "error: " << def.name << ": " << err.what() << "\n";
+    return 1;
   }
   return 0;
 }
 
-int run_all_main(int argc, const char* const* argv, const RunAllHooks* hooks) {
-  std::string usage_text =
-      "usage: bench_run_all [key=value ...]\n"
-      "Run every registered bench and write CSVs + summary.json.\n\nflags:\n"
-      "  out_dir=bench_out  output directory for CSVs and summary.json\n"
-      "  quick=false        CI-sized quick profile (--quick works too)\n"
-      "  only=SUBSTR        run only benches whose name contains SUBSTR\n"
-      "  list=false         list registered benches and exit\n"
-      "  seed=N             override the seed flag of benches that have one\n"
-      "  threads=1          worker threads for benches that sweep (0 = auto)\n";
+int run_all_main(int argc, const char* const* argv) {
   std::vector<std::string> keys{"out_dir", "quick", "only",
                                 "list",    "seed",  "threads"};
-  if (hooks != nullptr) {
-    usage_text += hooks->extra_usage;
-    keys.insert(keys.end(), hooks->extra_keys.begin(), hooks->extra_keys.end());
-  }
-
+  for (const auto& key : scenario::scenario_config_keys()) keys.push_back(key);
+  keys.push_back("list_scenarios");
   Config cfg;
   try {
     cfg = Config::from_args(argc, argv, keys);
     reject_positional(cfg);
   } catch (const ConfigError& err) {
-    std::cerr << "error: " << err.what() << "\n\n" << usage_text;
+    std::cerr << "error: " << err.what() << "\n\n" << kRunAllUsage;
     return 2;
   }
 
-  if (hooks != nullptr && hooks->handle) {
-    const int code = hooks->handle(cfg);
-    if (code >= 0) return code;
-  }
-
-  const auto& benches = Registry::instance().benches();
-  if (cfg.get_bool("list", false)) {
-    for (const auto& def : benches) {
-      std::cout << def.name << ": " << def.description << "\n";
+  try {
+    if (cfg.get_bool("list_scenarios", false)) {
+      std::cout << scenario::list_scenarios_text();
+      return 0;
     }
-    return 0;
+    if (cfg.has("scenario")) return run_scenario(cfg);
+    return run_benches(cfg);
+  } catch (const ConfigError& err) {
+    std::cerr << "error: " << err.what() << "\n";
+    return 2;
   }
-
-  const bool quick = cfg.get_bool("quick", false);
-  const std::string only = cfg.get_or("only", "");
-  const std::string out_dir = cfg.get_or("out_dir", "bench_out");
-
-  std::vector<Reporter> runs;
-  Timer total;
-  for (const auto& def : benches) {
-    if (!only.empty() && def.name.find(only) == std::string::npos) continue;
-    Config bench_cfg;
-    if (auto seed = cfg.get("seed")) {
-      const bool has_seed_flag =
-          std::any_of(def.flags.begin(), def.flags.end(),
-                      [](const FlagSpec& f) { return f.key == "seed"; });
-      if (has_seed_flag) bench_cfg.set("seed", *seed);
-    }
-    if (auto threads = cfg.get("threads")) bench_cfg.set("threads", *threads);
-    std::cout << "[bench] " << def.name << " ..." << std::flush;
-    try {
-      runs.push_back(run_bench(def, bench_cfg, quick));
-    } catch (const std::exception& err) {
-      std::cout << " FAILED\n";
-      std::cerr << "error: " << def.name << ": " << err.what() << "\n";
-      return 1;
-    }
-    const Reporter& rep = runs.back();
-    std::cout << " " << format_double(rep.wall_ms(), 0) << " ms, "
-              << rep.entries().size() << " tables\n";
-  }
-
-  if (runs.empty()) {
-    std::cerr << "error: no bench matches only=" << only << "\n";
-    return 1;
-  }
-
-  write_outputs(runs, out_dir, quick ? "quick" : "default");
-  std::cout << "wrote " << out_dir << "/summary.json (" << runs.size()
-            << " benches, " << format_double(total.elapsed_ms(), 0)
-            << " ms total)\n";
-  return 0;
 }
 
 }  // namespace ehpc::bench

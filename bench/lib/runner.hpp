@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,25 +34,16 @@ void write_outputs(const std::vector<Reporter>& runs,
 /// main() body for a single-bench driver binary: runs the sole registered
 /// bench with strict flag parsing; `csv=true` prints CSV instead of text and
 /// `out_dir=DIR` additionally writes CSV files + summary.json. Returns 2 with
-/// a usage message on bad flags.
+/// a usage message on bad flags or flag values, 1 if the bench fails.
 int standalone_main(int argc, const char* const* argv);
-
-/// Optional extension point for run_all_main, letting the linking binary
-/// accept extra strict keys and intercept the parsed config before the
-/// bench loop (bench_run_all uses this for --scenario / --list-scenarios
-/// without making the reporting library depend on the scenario layer).
-struct RunAllHooks {
-  std::vector<std::string> extra_keys;
-  std::string extra_usage;  ///< appended to the flags help text
-  /// Return an exit code to stop before the bench loop, or -1 to continue.
-  std::function<int(const Config&)> handle;
-};
 
 /// main() body for bench_run_all: runs every registered bench (optionally
 /// filtered with only=SUBSTR) and writes CSVs + summary.json to out_dir.
 /// `seed=N` overrides the seed flag of every bench that declares one and
 /// `threads=N` is forwarded to every bench (sweep benches fan out with it).
-int run_all_main(int argc, const char* const* argv,
-                 const RunAllHooks* hooks = nullptr);
+/// `scenario=NAME` instead runs one scenario-registry entry through the
+/// sweep engine, with every scenario key as an override;
+/// `list_scenarios=true` lists the registry.
+int run_all_main(int argc, const char* const* argv);
 
 }  // namespace ehpc::bench

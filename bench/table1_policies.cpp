@@ -22,12 +22,9 @@ using elastic::PolicyMode;
 namespace {
 
 void run(bench::Reporter& rep, const Config& cfg) {
-  scenario::ScenarioSpec spec =
-      scenario::ScenarioRegistry::instance().require("table1");
-  spec.seed = static_cast<unsigned>(cfg.get_int("seed", 2025));
+  // Every flag but `gap` is a scenario key of the same name.
+  scenario::ScenarioSpec spec = scenario::resolve_scenario(cfg, "table1");
   spec.submission_gap_s = cfg.get_double("gap", 90.0);
-  spec.rescale_gap_s = cfg.get_double("rescale_gap", 180.0);
-  spec.calibrated = cfg.get_bool("calibrated", true);
 
   const auto workloads = scenario::workloads_for(spec);
   const auto mix = scenario::make_mix(spec, spec.seed);

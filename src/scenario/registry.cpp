@@ -37,8 +37,8 @@ const ScenarioSpec& ScenarioRegistry::require(const std::string& name) const {
 }
 
 ScenarioRegistry::ScenarioRegistry() {
-  // The paper's experiments. Sweep values match the figures; benches may
-  // override repeats/seed from their flags.
+  // The paper's experiments. Sweep values match the figures; benches apply
+  // their flags (repeats=, seed=, ...) on top through spec_from_config.
   ScenarioSpec policy_compare;
   policy_compare.name = "policy_compare";
   policy_compare.description =
