@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <deque>
 #include <numeric>
 #include <vector>
 
@@ -335,6 +336,46 @@ void BM_PolicyEngineSubmitComplete(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PolicyEngineSubmitComplete)->Arg(16)->Arg(128);
+
+// Steady state behind a deep queue: 64 slots with ~1000 jobs waiting, then
+// one complete (+ forget, as streaming replay does) and one submit per
+// iteration. Each event walks the in-flight index once, so this is the cost
+// per event at 1000 in flight. Items = complete+submit pairs; the perf gate
+// floors items_per_second.
+void BM_PolicyEngineDeepQueue(benchmark::State& state) {
+  constexpr int kQueued = 1000;
+  elastic::PolicyConfig cfg;
+  cfg.mode = elastic::PolicyMode::kElastic;
+  elastic::PolicyEngine eng(64, cfg);
+  std::deque<elastic::JobId> started;  // running jobs, oldest start first
+  elastic::JobId next = 0;
+  double now = 0.0;
+  const auto submit = [&] {
+    elastic::JobSpec spec;
+    spec.id = next;
+    spec.min_replicas = 4;
+    spec.max_replicas = 16;
+    spec.priority = 1 + next % 5;
+    ++next;
+    for (const auto& a : eng.submit(spec, now)) {
+      if (a.type == elastic::ActionType::kStart) started.push_back(a.job);
+    }
+  };
+  while (eng.queued().size() < kQueued) submit();
+  for (auto _ : state) {
+    now += 10.0;
+    const elastic::JobId done = started.front();
+    started.pop_front();
+    for (const auto& a : eng.complete(done, now)) {
+      if (a.type == elastic::ActionType::kStart) started.push_back(a.job);
+    }
+    eng.forget(done);
+    submit();
+  }
+  benchmark::DoNotOptimize(eng.free_slots());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PolicyEngineDeepQueue);
 
 // End-to-end streaming replay hot path: N synthetic jobs with prun-style
 // queue/task timeouts pulled lazily through SchedSimulator::run_stream,

@@ -90,29 +90,33 @@ bool PolicyEngine::expand_worthwhile(const JobState& j, int add) const {
   return true;
 }
 
+namespace {
+
+bool by_priority_order(const JobState* a, const JobState* b) {
+  return PriorityOrder{}(*a, *b);
+}
+
+}  // namespace
+
+std::vector<JobState*>::iterator PolicyEngine::active_position(const JobState& j) {
+  const auto it = std::lower_bound(active_.begin(), active_.end(), &j, by_priority_order);
+  EHPC_ENSURES(it != active_.end() && *it == &j);
+  return it;
+}
+
 std::vector<JobId> PolicyEngine::queued() const {
-  std::vector<const JobState*> states;
-  for (const auto& [id, st] : jobs_) {
-    if (!st.running && !st.completed) states.push_back(&st);
-  }
-  std::sort(states.begin(), states.end(),
-            [](const JobState* a, const JobState* b) { return PriorityOrder{}(*a, *b); });
   std::vector<JobId> out;
-  out.reserve(states.size());
-  for (const auto* st : states) out.push_back(st->spec.id);
+  for (const JobState* st : active_) {
+    if (!st->running) out.push_back(st->spec.id);
+  }
   return out;
 }
 
 std::vector<JobId> PolicyEngine::running() const {
-  std::vector<const JobState*> states;
-  for (const auto& [id, st] : jobs_) {
-    if (st.running) states.push_back(&st);
-  }
-  std::sort(states.begin(), states.end(),
-            [](const JobState* a, const JobState* b) { return PriorityOrder{}(*a, *b); });
   std::vector<JobId> out;
-  out.reserve(states.size());
-  for (const auto* st : states) out.push_back(st->spec.id);
+  for (const JobState* st : active_) {
+    if (st->running) out.push_back(st->spec.id);
+  }
   return out;
 }
 
@@ -136,6 +140,8 @@ std::vector<Action> PolicyEngine::submit(const JobSpec& raw_spec, double now) {
   auto [it, inserted] = jobs_.emplace(spec.id, st);
   EHPC_ENSURES(inserted);
   JobState& job = it->second;
+  active_.insert(std::upper_bound(active_.begin(), active_.end(), &job, by_priority_order),
+                 &job);
 
   // Fig. 2, first branch: start outright if the free slots allow >= min.
   const int replicas =
@@ -159,17 +165,22 @@ std::vector<Action> PolicyEngine::submit(const JobSpec& raw_spec, double now) {
 }
 
 std::vector<Action> PolicyEngine::try_shrink_to_fit(JobState& job, double now) {
-  const std::vector<JobId> order = running();  // decreasing priority
-
   // Fig. 2 dry-run: can enough slots be freed (respecting T_rescale_gap and
-  // priority) to reach the job's min replicas? Walk from the lowest-priority
-  // running job; index 0 (the highest-priority job) is never considered.
-  const std::size_t stop = config_.protect_top_job ? 1 : 0;
+  // priority) to reach the job's min replicas? Walk the in-flight index from
+  // the lowest priority, skipping jobs that are not running (the new job
+  // among them). The highest-priority running job is never considered: the
+  // walk stops one past the first running entry.
+  std::size_t stop = 0;
+  if (config_.protect_top_job) {
+    const auto top = std::find_if(active_.begin(), active_.end(),
+                                  [](const JobState* j) { return j->running; });
+    stop = static_cast<std::size_t>(top - active_.begin()) + 1;
+  }
   int num_to_free = job.spec.min_replicas - free_slots_ + config_.reserve_slots;
   const double job_priority = effective_priority(job, now);
-  for (std::size_t i = order.size(); num_to_free > 0 && i-- > stop;) {
-    const JobState& j = jobs_.at(order[i]);
-    if (!rescale_allowed(j, now)) continue;
+  for (std::size_t i = active_.size(); num_to_free > 0 && i-- > stop;) {
+    const JobState& j = *active_[i];
+    if (!j.running || !rescale_allowed(j, now)) continue;
     if (effective_priority(j, now) > job_priority) break;
     if (j.replicas > j.spec.min_replicas) {
       const int new_replicas =
@@ -186,9 +197,9 @@ std::vector<Action> PolicyEngine::try_shrink_to_fit(JobState& job, double now) {
   std::vector<Action> actions;
   int min_to_free = job.spec.min_replicas - free_slots_ + config_.reserve_slots;
   int max_to_free = job.spec.max_replicas - free_slots_ + config_.reserve_slots;
-  for (std::size_t i = order.size(); max_to_free > 0 && i-- > stop;) {
-    JobState& j = jobs_.at(order[i]);
-    if (!rescale_allowed(j, now)) continue;
+  for (std::size_t i = active_.size(); max_to_free > 0 && i-- > stop;) {
+    JobState& j = *active_[i];
+    if (!j.running || !rescale_allowed(j, now)) continue;
     if (effective_priority(j, now) > job_priority) break;
     if (j.replicas > j.spec.min_replicas) {
       const int new_replicas =
@@ -221,6 +232,7 @@ void PolicyEngine::abandon(JobId id) {
   JobState& st = job_mut(id);
   EHPC_EXPECTS(!st.running && !st.completed);
   EHPC_ENSURES(st.replicas == 0);  // queued jobs hold no slots
+  active_.erase(active_position(st));
   st.completed = true;
 }
 
@@ -238,28 +250,32 @@ std::vector<Action> PolicyEngine::complete(JobId id, double now) {
   done.replicas = 0;
   done.running = false;
   done.completed = true;
+  active_.erase(active_position(done));
 
   // Fig. 3: hand the available slots to jobs in decreasing priority order —
   // running jobs below their max (elastic only) and queued jobs that can
-  // reach at least their min.
-  std::vector<const JobState*> candidates;
-  for (const auto& [jid, st] : jobs_) {
-    if (!st.completed) candidates.push_back(&st);
+  // reach at least their min. The order is effective priority, ties in
+  // PriorityOrder. Without aging that is the index order itself; aging
+  // raises queued jobs' priority as they wait, and a stable sort of the
+  // PriorityOrder-sorted index by effective priority keeps the tie-break.
+  const auto by_effective = [this, now](const JobState* a, const JobState* b) {
+    return effective_priority(*a, now) > effective_priority(*b, now);
+  };
+  std::vector<JobState*> resorted;
+  const std::vector<JobState*>* order = &active_;
+  if (config_.aging_rate_per_s > 0.0 &&
+      !std::is_sorted(active_.begin(), active_.end(), by_effective)) {
+    resorted = active_;
+    std::stable_sort(resorted.begin(), resorted.end(), by_effective);
+    order = &resorted;
   }
-  std::sort(candidates.begin(), candidates.end(),
-            [this, now](const JobState* a, const JobState* b) {
-              const double pa = effective_priority(*a, now);
-              const double pb = effective_priority(*b, now);
-              if (pa != pb) return pa > pb;
-              return PriorityOrder{}(*a, *b);
-            });
 
   const bool can_rescale = config_.mode == PolicyMode::kElastic;
   std::vector<Action> actions;
   int budget = free_slots_;
-  for (const JobState* cand : candidates) {
+  for (JobState* next : *order) {
     if (budget <= 0) break;
-    JobState& j = job_mut(cand->spec.id);
+    JobState& j = *next;
     if (!rescale_allowed(j, now)) continue;
     if (j.running && !can_rescale) continue;
     if (j.replicas >= j.spec.max_replicas) continue;

@@ -67,6 +67,10 @@ class PolicyEngine {
   using ProgressProvider = std::function<double(JobId)>;
 
   PolicyEngine(int total_slots, PolicyConfig config);
+  // The in-flight index points into jobs_: a copy would alias the
+  // original's map.
+  PolicyEngine(const PolicyEngine&) = delete;
+  PolicyEngine& operator=(const PolicyEngine&) = delete;
 
   void set_progress_provider(ProgressProvider provider);
 
@@ -89,7 +93,9 @@ class PolicyEngine {
 
   /// Drop a completed job's state entirely. Streaming replay retires jobs
   /// as they finish so the engine's map — like the harness — holds only
-  /// in-flight jobs, keeping million-job traces in bounded memory.
+  /// in-flight jobs, keeping million-job traces in bounded memory. Batch
+  /// runs never forget; completed jobs stay in the map but cost nothing
+  /// per event, since only the in-flight index is walked.
   void forget(JobId id);
 
   // ---- inspection ----
@@ -119,11 +125,19 @@ class PolicyEngine {
   // Returns the actions performed; on failure leaves state untouched and
   // returns only an enqueue marker.
   std::vector<Action> try_shrink_to_fit(JobState& job, double now);
+  /// Position of `j` (in flight) in active_, by binary search.
+  std::vector<JobState*>::iterator active_position(const JobState& j);
 
   int total_slots_;
   int free_slots_;
   PolicyConfig config_;
   std::map<JobId, JobState> jobs_;
+  /// The in-flight index: every submitted, not-completed job (queued or
+  /// running), sorted by PriorityOrder. Its keys (priority, submit time,
+  /// id) never change after submit, so the order only changes by insert
+  /// (submit) and erase (complete, abandon). The pointers stay valid
+  /// because std::map nodes never move.
+  std::vector<JobState*> active_;
   ProgressProvider progress_;
 };
 

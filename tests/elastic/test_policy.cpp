@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <tuple>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 
@@ -334,6 +339,23 @@ TEST_P(PolicyInvariants, SlotAccountingAlwaysConsistent) {
       EXPECT_EQ(used, eng.used_slots());
       EXPECT_EQ(eng.used_slots() + eng.free_slots(), 64);
       EXPECT_GE(eng.free_slots(), 0);
+      // running()/queued() (filters over the in-flight index) equal a
+      // brute-force filter-and-sort over every job.
+      std::vector<JobState> run_states;
+      std::vector<JobState> queue_states;
+      for (JobId id : eng.all_jobs()) {
+        const JobState& j = eng.job(id);
+        if (j.running) run_states.push_back(j);
+        if (!j.running && !j.completed) queue_states.push_back(j);
+      }
+      const auto ids_by_priority = [](std::vector<JobState> states) {
+        std::sort(states.begin(), states.end(), PriorityOrder{});
+        std::vector<JobId> ids;
+        for (const JobState& j : states) ids.push_back(j.spec.id);
+        return ids;
+      };
+      EXPECT_EQ(eng.running(), ids_by_priority(run_states));
+      EXPECT_EQ(eng.queued(), ids_by_priority(queue_states));
     }
   }
 }
@@ -496,6 +518,328 @@ TEST(PolicyEngine, EqualPriorityAndTimeTiesBreakByJobId) {
   }
   EXPECT_EQ(started, (std::vector<JobId>{1, 2}));
 }
+
+}  // namespace
+}  // namespace ehpc::elastic
+
+// ---- in-flight index: edge cases and a differential test ----
+
+namespace ehpc::elastic {
+namespace {
+
+TEST(PolicyIndex, TopRunningJobProtectedBehindQueuedHigherPriorityJob) {
+  // A queued job of higher priority than every running job sits at the
+  // front of the index; the top *running* job must still be protected.
+  for (bool protect : {true, false}) {
+    PolicyConfig cfg = elastic_cfg();
+    cfg.protect_top_job = protect;
+    PolicyEngine eng(64, cfg);
+    eng.submit(spec(0, 4, 32, 5), 0.0);   // runs at 32
+    eng.submit(spec(1, 4, 32, 1), 1.0);   // runs at 32
+    eng.submit(spec(2, 64, 64, 9), 2.0);  // cannot fit: queued, index front
+    ASSERT_EQ(eng.queued(), std::vector<JobId>{2});
+    ASSERT_EQ(eng.running(), (std::vector<JobId>{0, 1}));
+    // Job 3 ties job 0's priority, so only protection keeps job 0 whole:
+    // job 1 alone can give 28 slots, short of the 40 needed.
+    auto actions = eng.submit(spec(3, 40, 40, 5), 3.0);
+    if (protect) {
+      ASSERT_EQ(actions.size(), 1u);
+      EXPECT_EQ(actions[0].type, ActionType::kEnqueue);
+      EXPECT_EQ(eng.job(0).replicas, 32);
+      EXPECT_EQ(eng.job(1).replicas, 32);
+    } else {
+      ASSERT_NE(find_action(actions, ActionType::kStart), nullptr);
+      EXPECT_EQ(eng.job(3).replicas, 40);
+      EXPECT_LT(eng.job(0).replicas, 32);
+    }
+  }
+}
+
+TEST(PolicyIndex, AbandonedAndForgottenJobNeverStarts) {
+  PolicyEngine eng(64, elastic_cfg());
+  eng.submit(spec(0, 64, 64, 5), 0.0);
+  eng.submit(spec(1, 32, 32, 9), 1.0);  // top job protected: queued
+  eng.submit(spec(2, 32, 32, 1), 2.0);  // queued
+  ASSERT_EQ(eng.queued(), (std::vector<JobId>{1, 2}));
+  eng.abandon(1);
+  eng.forget(1);
+  EXPECT_EQ(eng.queued(), std::vector<JobId>{2});
+  auto actions = eng.complete(0, 100.0);
+  ASSERT_EQ(actions.size(), 1u);
+  EXPECT_EQ(actions[0].type, ActionType::kStart);
+  EXPECT_EQ(actions[0].job, 2);
+  EXPECT_FALSE(eng.has_job(1));
+  EXPECT_EQ(eng.running(), std::vector<JobId>{2});
+  EXPECT_TRUE(eng.queued().empty());
+}
+
+TEST(PolicyIndex, AgingResortLetsOlderLowerPriorityJobOvertake) {
+  PolicyConfig cfg = elastic_cfg();
+  cfg.aging_rate_per_s = 1.0;
+  PolicyEngine eng(64, cfg);
+  eng.submit(spec(0, 64, 64, 9), 0.0);
+  eng.submit(spec(1, 16, 16, 3), 12.0);  // at t=100: 3 + 88 = 91
+  eng.submit(spec(2, 16, 16, 2), 5.0);   // at t=100: 2 + 95 = 97
+  eng.submit(spec(3, 16, 16, 1), 10.0);  // at t=100: 1 + 90 = 91
+  // Index (PriorityOrder) is 1, 2, 3; effective priority puts 2 first, and
+  // the 91-point tie between 1 and 3 keeps PriorityOrder.
+  ASSERT_EQ(eng.queued(), (std::vector<JobId>{1, 2, 3}));
+  auto actions = eng.complete(0, 100.0);
+  std::vector<JobId> started;
+  for (const auto& a : actions) {
+    if (a.type == ActionType::kStart) started.push_back(a.job);
+  }
+  EXPECT_EQ(started, (std::vector<JobId>{2, 1, 3}));
+}
+
+// Oracle for the in-flight index: the scan-and-sort form of Fig. 2/3.
+// complete() scans every job and sorts by (effective priority,
+// PriorityOrder); shrink-to-fit rebuilds and sorts the running list on
+// every call.
+class ReferenceEngine {
+ public:
+  ReferenceEngine(int slots, PolicyConfig cfg) : free_(slots), cfg_(cfg) {}
+
+  std::function<double(JobId)> progress;
+
+  std::vector<Action> submit(JobSpec spec, double now) {
+    if (cfg_.mode == PolicyMode::kRigidMin) spec.max_replicas = spec.min_replicas;
+    if (cfg_.mode == PolicyMode::kRigidMax) spec.min_replicas = spec.max_replicas;
+    JobState& job = jobs_[spec.id];
+    job = JobState{};
+    job.spec = spec;
+    job.submit_time = now;
+    const int replicas = std::min(free_ - cfg_.reserve_slots, spec.max_replicas);
+    if (replicas >= spec.min_replicas) {
+      start(job, replicas, now);
+      return {Action{ActionType::kStart, spec.id, replicas}};
+    }
+    if (cfg_.mode != PolicyMode::kElastic) return {Action{ActionType::kEnqueue, spec.id, 0}};
+    return try_shrink_to_fit(job, now);
+  }
+
+  std::vector<Action> complete(JobId id, double now) {
+    JobState& done = jobs_.at(id);
+    free_ += done.replicas;
+    done.replicas = 0;
+    done.running = false;
+    done.completed = true;
+    std::vector<JobState*> candidates;
+    for (auto& [jid, st] : jobs_) {
+      if (!st.completed) candidates.push_back(&st);
+    }
+    std::sort(candidates.begin(), candidates.end(), [&](const JobState* a, const JobState* b) {
+      const double pa = effective(*a, now);
+      const double pb = effective(*b, now);
+      if (pa != pb) return pa > pb;
+      return PriorityOrder{}(*a, *b);
+    });
+    std::vector<Action> actions;
+    int budget = free_;
+    for (JobState* j : candidates) {
+      if (budget <= 0) break;
+      if (!gap_ok(*j, now)) continue;
+      if (j->running && cfg_.mode != PolicyMode::kElastic) continue;
+      if (j->replicas >= j->spec.max_replicas) continue;
+      const int add = std::min(budget, j->spec.max_replicas - j->replicas);
+      if (j->replicas + add < j->spec.min_replicas) continue;
+      const bool was_queued = !j->running;
+      if (!was_queued && !expand_worthwhile(*j, add)) continue;
+      start(*j, j->replicas + add, now);
+      budget -= add;
+      actions.push_back(Action{was_queued ? ActionType::kStart : ActionType::kExpand,
+                               j->spec.id, j->replicas});
+    }
+    return actions;
+  }
+
+  void abandon(JobId id) { jobs_.at(id).completed = true; }
+  void forget(JobId id) { jobs_.erase(id); }
+  int free_slots() const { return free_; }
+  const std::map<JobId, JobState>& jobs() const { return jobs_; }
+
+ private:
+  void start(JobState& j, int replicas, double now) {
+    free_ -= replicas - j.replicas;
+    j.replicas = replicas;
+    j.running = true;
+    j.last_action_time = now;
+  }
+
+  bool gap_ok(const JobState& j, double now) const {
+    return now - j.last_action_time >= cfg_.rescale_gap_s;
+  }
+
+  double effective(const JobState& j, double now) const {
+    double p = static_cast<double>(j.spec.priority);
+    if (cfg_.aging_rate_per_s > 0.0 && !j.running && !j.completed) {
+      p += cfg_.aging_rate_per_s * std::max(0.0, now - j.submit_time);
+    }
+    return p;
+  }
+
+  bool expand_worthwhile(const JobState& j, int add) const {
+    if (cfg_.min_expand_gain > 0.0 &&
+        static_cast<double>(add) < cfg_.min_expand_gain * static_cast<double>(j.replicas)) {
+      return false;
+    }
+    return !(cfg_.min_remaining_fraction_for_expand > 0.0 && progress &&
+             progress(j.spec.id) < cfg_.min_remaining_fraction_for_expand);
+  }
+
+  std::vector<Action> try_shrink_to_fit(JobState& job, double now) {
+    std::vector<JobState*> order;
+    for (auto& [jid, st] : jobs_) {
+      if (st.running) order.push_back(&st);
+    }
+    std::sort(order.begin(), order.end(),
+              [](const JobState* a, const JobState* b) { return PriorityOrder{}(*a, *b); });
+    const std::size_t stop = cfg_.protect_top_job ? 1 : 0;
+    const double job_priority = effective(job, now);
+    int num_to_free = job.spec.min_replicas - free_ + cfg_.reserve_slots;
+    for (std::size_t i = order.size(); num_to_free > 0 && i-- > stop;) {
+      const JobState& j = *order[i];
+      if (!gap_ok(j, now)) continue;
+      if (effective(j, now) > job_priority) break;
+      if (j.replicas > j.spec.min_replicas) {
+        num_to_free -= j.replicas - std::max(j.spec.min_replicas, j.replicas - num_to_free);
+      }
+    }
+    if (num_to_free > 0) return {Action{ActionType::kEnqueue, job.spec.id, 0}};
+    std::vector<Action> actions;
+    int max_to_free = job.spec.max_replicas - free_ + cfg_.reserve_slots;
+    for (std::size_t i = order.size(); max_to_free > 0 && i-- > stop;) {
+      JobState& j = *order[i];
+      if (!gap_ok(j, now)) continue;
+      if (effective(j, now) > job_priority) break;
+      if (j.replicas > j.spec.min_replicas) {
+        const int new_replicas = std::max(j.spec.min_replicas, j.replicas - max_to_free);
+        max_to_free -= j.replicas - new_replicas;
+        free_ += j.replicas - new_replicas;
+        j.replicas = new_replicas;
+        j.last_action_time = now;
+        actions.push_back(Action{ActionType::kShrink, j.spec.id, new_replicas});
+      }
+    }
+    const int replicas = std::min(free_ - cfg_.reserve_slots, job.spec.max_replicas);
+    start(job, replicas, now);
+    actions.push_back(Action{ActionType::kStart, job.spec.id, replicas});
+    return actions;
+  }
+
+  int free_;
+  PolicyConfig cfg_;
+  std::map<JobId, JobState> jobs_;
+};
+
+auto fields(const Action& a) { return std::tuple(a.type, a.job, a.target_replicas); }
+
+auto fields(const JobState& j) {
+  return std::tuple(j.spec.id, j.spec.min_replicas, j.spec.max_replicas, j.spec.priority,
+                    j.submit_time, j.replicas, j.running, j.completed, j.last_action_time);
+}
+
+void expect_same_actions(const std::vector<Action>& got, const std::vector<Action>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) EXPECT_EQ(fields(got[i]), fields(want[i])) << i;
+}
+
+struct DiffCase {
+  PolicyMode mode;
+  double aging_rate_per_s;
+  bool protect_top_job;
+  int reserve_slots;
+};
+
+// Random submit / complete / abandon / forget sequences (ties in priority
+// and submit time included, forgotten ids reused) drive the engine and the
+// reference side by side; every step must emit the same actions and leave
+// every job in the same state.
+class PolicyDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(PolicyDifferential, MatchesScanAndSortReference) {
+  std::vector<DiffCase> cases;
+  for (PolicyMode mode : {PolicyMode::kRigidMin, PolicyMode::kRigidMax,
+                          PolicyMode::kMoldable, PolicyMode::kElastic}) {
+    for (double aging : {0.0, 0.05}) {
+      for (bool protect : {true, false}) {
+        for (int reserve : {0, 1}) cases.push_back({mode, aging, protect, reserve});
+      }
+    }
+  }
+  Rng rng(GetParam());
+  for (const DiffCase& c : cases) {
+    SCOPED_TRACE(to_string(c.mode) + " aging=" + std::to_string(c.aging_rate_per_s) +
+                 " protect=" + std::to_string(c.protect_top_job) +
+                 " reserve=" + std::to_string(c.reserve_slots));
+    PolicyConfig cfg;
+    cfg.mode = c.mode;
+    cfg.aging_rate_per_s = c.aging_rate_per_s;
+    cfg.protect_top_job = c.protect_top_job;
+    cfg.reserve_slots = c.reserve_slots;
+    cfg.rescale_gap_s = rng.chance(0.3) ? 0.0 : rng.uniform(0.0, 200.0);
+    cfg.min_expand_gain = rng.chance(0.5) ? 0.0 : 0.25;
+    cfg.min_remaining_fraction_for_expand = rng.chance(0.5) ? 0.0 : 0.3;
+    const auto progress = [](JobId id) { return static_cast<double>(id % 10) / 10.0; };
+    PolicyEngine eng(64, cfg);
+    eng.set_progress_provider(progress);
+    ReferenceEngine ref(64, cfg);
+    ref.progress = progress;
+
+    std::vector<JobId> forgotten;
+    int next_id = 0;
+    double now = 0.0;
+    for (int step = 0; step < 300; ++step) {
+      if (rng.chance(0.8)) now += rng.uniform(0.0, 90.0);  // else a same-time event
+      std::vector<JobId> running;
+      std::vector<JobId> queued;
+      std::vector<JobId> completed;
+      for (const auto& [id, st] : ref.jobs()) {
+        if (st.running) running.push_back(id);
+        else if (st.completed) completed.push_back(id);
+        else queued.push_back(id);
+      }
+      const auto pick = [&](const std::vector<JobId>& ids) {
+        return ids[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<int>(ids.size()) - 1))];
+      };
+      const double op = rng.uniform(0.0, 1.0);
+      if (op < 0.5 || running.empty()) {
+        JobId id = next_id++;
+        if (!forgotten.empty() && rng.chance(0.2)) {
+          id = forgotten.back();
+          forgotten.pop_back();
+        }
+        const int min_r = static_cast<int>(rng.uniform_int(1, 20));
+        const int max_r = min_r + static_cast<int>(rng.uniform_int(0, 40));
+        const JobSpec s = spec(id, min_r, max_r, static_cast<int>(rng.uniform_int(1, 4)));
+        expect_same_actions(eng.submit(s, now), ref.submit(s, now));
+      } else if (op < 0.8) {
+        const JobId id = pick(running);
+        expect_same_actions(eng.complete(id, now), ref.complete(id, now));
+      } else if (op < 0.9 && !queued.empty()) {
+        const JobId id = pick(queued);
+        eng.abandon(id);
+        ref.abandon(id);
+      } else if (!completed.empty()) {
+        const JobId id = pick(completed);
+        eng.forget(id);
+        ref.forget(id);
+        forgotten.push_back(id);
+      }
+      ASSERT_EQ(eng.free_slots(), ref.free_slots()) << "step " << step;
+      std::vector<JobId> ids;
+      for (const auto& [id, st] : ref.jobs()) {
+        ids.push_back(id);
+        EXPECT_EQ(fields(eng.job(id)), fields(st)) << "job " << id << " step " << step;
+      }
+      ASSERT_EQ(eng.all_jobs(), ids) << "step " << step;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, PolicyDifferential,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u));
 
 }  // namespace
 }  // namespace ehpc::elastic
