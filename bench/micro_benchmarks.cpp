@@ -4,8 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -188,6 +190,52 @@ void BM_LoadBalancer(benchmark::State& state, const char* name) {
 }
 BENCHMARK_CAPTURE(BM_LoadBalancer, greedy, "greedy")->Arg(256)->Arg(4096);
 BENCHMARK_CAPTURE(BM_LoadBalancer, refine, "refine")->Arg(256)->Arg(4096);
+
+// One comm-aware LB step as the graph runs take it: 128 objects on 64 PEs
+// (4 per node), a power-law comm graph whose low-numbered objects are hubs,
+// and byte_cost priced through a fat-tree contention model the way the
+// runtime prices it (bulk bytes between the PEs' nodes). Items = objects
+// placed; the perf gate floors items_per_second.
+void BM_CommRefineAssign(benchmark::State& state) {
+  constexpr int kObjects = 128;
+  constexpr int kPes = 64;
+  constexpr int kPesPerNode = 4;
+  Rng rng(11);
+  std::vector<charm::LbObject> objects;
+  for (int i = 0; i < kObjects; ++i) {
+    charm::LbObject o;
+    o.elem = i;
+    o.load = rng.uniform(0.1, 2.0);
+    o.current_pe = static_cast<charm::PeId>(rng.uniform_int(0, kPes - 1));
+    objects.push_back(o);
+  }
+  charm::LbCommGraph comm;
+  for (int k = 0; k < 8 * kObjects; ++k) {
+    const auto hub = [&] {
+      const double r = rng.uniform(0.0, 1.0);
+      return static_cast<int>(r * r * r * kObjects);
+    };
+    const int a = hub();
+    const int b = hub();
+    comm.edges.push_back({a, b, 1.0e6 * std::pow(rng.uniform(0.0, 1.0), 3.0)});
+  }
+  std::shared_ptr<const net::NetworkModel> model =
+      net::make_network_model("fattree", /*oversub=*/4.0);
+  comm.byte_cost = [model](charm::PeId a, charm::PeId b) {
+    if (a == b) return 0.0;
+    constexpr std::size_t kRefBytes = 65536;
+    return model->message_time(kRefBytes, a / kPesPerNode, b / kPesPerNode) /
+           static_cast<double>(kRefBytes);
+  };
+  std::vector<charm::PeId> pes(kPes);
+  std::iota(pes.begin(), pes.end(), 0);
+  const charm::CommRefineLb lb;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(lb.assign(objects, comm, pes));
+  }
+  state.SetItemsProcessed(state.iterations() * kObjects);
+}
+BENCHMARK(BM_CommRefineAssign);
 
 // Full graph superstep loop on minicharm: Chung-Lu generation, the scatter /
 // inbox messaging, per-superstep reductions and periodic comm-aware LB over

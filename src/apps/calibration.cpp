@@ -1,5 +1,6 @@
 #include "apps/calibration.hpp"
 
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -10,11 +11,61 @@ namespace {
 
 /// Steady-state seconds per iteration from the driver's end-time stamps,
 /// discarding the first iteration (startup transient).
-double time_per_step(const std::vector<double>& end_times) {
+double steady_step(const std::vector<double>& end_times) {
   EHPC_EXPECTS(end_times.size() >= 3);
   const std::size_t first = 1;
   const std::size_t last = end_times.size() - 1;
   return (end_times[last] - end_times[first]) / static_cast<double>(last - first);
+}
+
+/// Mean seconds per iteration over the whole run: an adapting mesh, or a
+/// graph whose parts migrate mid-run, has no steady state to isolate.
+double mean_step(const std::vector<double>& end_times) {
+  EHPC_EXPECTS(!end_times.empty());
+  return end_times.back() / static_cast<double>(end_times.size());
+}
+
+/// One run of `App` (built from `input`) per replica count, balancing every
+/// `lb_period` iterations (0 = never). Each point carries the step time
+/// `step_time` reads off the iteration end times and the mean of the run's
+/// LB steps.
+template <typename App, typename Input>
+std::vector<ScalingPoint> measure_runs(
+    const Input& input, const std::vector<int>& replica_counts, int lb_period,
+    const charm::RuntimeConfig& base,
+    double (*step_time)(const std::vector<double>&)) {
+  std::vector<ScalingPoint> out;
+  out.reserve(replica_counts.size());
+  for (int replicas : replica_counts) {
+    charm::RuntimeConfig rc = base;
+    rc.num_pes = replicas;
+    charm::Runtime rt(rc);
+    App app(rt, input);
+    app.driver().set_lb_period(lb_period);
+    app.start();
+    rt.run();
+    EHPC_ENSURES(app.driver().finished());
+    ScalingPoint point{
+        .replicas = replicas,
+        .time_per_step_s = step_time(app.driver().iteration_end_times())};
+    double pre_sum = 0.0;
+    double post_sum = 0.0;
+    double migrated_sum = 0.0;
+    for (const auto& step : rt.lb_history()) {
+      pre_sum += step.pre_ratio;
+      post_sum += step.post_ratio;
+      migrated_sum += static_cast<double>(step.migrated);
+      ++point.lb.lb_steps;
+    }
+    if (point.lb.lb_steps > 0) {
+      const double n = static_cast<double>(point.lb.lb_steps);
+      point.lb.pre_ratio = pre_sum / n;
+      point.lb.post_ratio = post_sum / n;
+      point.lb.migrations_per_step = migrated_sum / n;
+    }
+    out.push_back(point);
+  }
+  return out;
 }
 
 }  // namespace
@@ -32,41 +83,19 @@ JacobiConfig jacobi_for_grid(int grid_n, int max_iterations) {
 std::vector<ScalingPoint> measure_jacobi_scaling(
     int grid_n, const std::vector<int>& replica_counts, int iterations,
     charm::RuntimeConfig base) {
-  std::vector<ScalingPoint> out;
-  out.reserve(replica_counts.size());
-  for (int replicas : replica_counts) {
-    charm::RuntimeConfig rc = base;
-    rc.num_pes = replicas;
-    charm::Runtime rt(rc);
-    // The curve reads only virtual time, which the stencil values never
-    // affect: run the skeleton.
-    JacobiConfig config = jacobi_for_grid(grid_n, iterations);
-    config.skeleton = true;
-    Jacobi2D app(rt, config);
-    app.start();
-    rt.run();
-    EHPC_ENSURES(app.driver().finished());
-    out.push_back({replicas, time_per_step(app.driver().iteration_end_times())});
-  }
-  return out;
+  // The curve reads only virtual time, which the stencil values never
+  // affect: run the skeleton.
+  JacobiConfig config = jacobi_for_grid(grid_n, iterations);
+  config.skeleton = true;
+  return measure_runs<Jacobi2D>(config, replica_counts, /*lb_period=*/0, base,
+                                steady_step);
 }
 
 std::vector<ScalingPoint> measure_leanmd_scaling(
     LeanMdConfig config, const std::vector<int>& replica_counts,
     charm::RuntimeConfig base) {
-  std::vector<ScalingPoint> out;
-  out.reserve(replica_counts.size());
-  for (int replicas : replica_counts) {
-    charm::RuntimeConfig rc = base;
-    rc.num_pes = replicas;
-    charm::Runtime rt(rc);
-    LeanMd app(rt, config);
-    app.start();
-    rt.run();
-    EHPC_ENSURES(app.driver().finished());
-    out.push_back({replicas, time_per_step(app.driver().iteration_end_times())});
-  }
-  return out;
+  return measure_runs<LeanMd>(config, replica_counts, /*lb_period=*/0, base,
+                              steady_step);
 }
 
 charm::RescaleTiming measure_jacobi_rescale(int grid_n, int from_replicas,
@@ -91,24 +120,7 @@ charm::RescaleTiming measure_jacobi_rescale(int grid_n, int from_replicas,
 std::vector<ScalingPoint> measure_amr_scaling(
     AmrConfig config, const std::vector<int>& replica_counts, int lb_period,
     charm::RuntimeConfig base) {
-  std::vector<ScalingPoint> out;
-  out.reserve(replica_counts.size());
-  for (int replicas : replica_counts) {
-    charm::RuntimeConfig rc = base;
-    rc.num_pes = replicas;
-    charm::Runtime rt(rc);
-    Amr app(rt, config);
-    app.driver().set_lb_period(lb_period);
-    app.start();
-    rt.run();
-    EHPC_ENSURES(app.driver().finished());
-    // Mean over all iterations: an adapting mesh has no steady state.
-    const auto& ends = app.driver().iteration_end_times();
-    EHPC_EXPECTS(!ends.empty());
-    out.push_back(
-        {replicas, ends.back() / static_cast<double>(ends.size())});
-  }
-  return out;
+  return measure_runs<Amr>(config, replica_counts, lb_period, base, mean_step);
 }
 
 charm::RescaleTiming measure_amr_rescale(AmrConfig config, int from_replicas,
@@ -133,84 +145,22 @@ charm::RescaleTiming measure_amr_rescale(AmrConfig config, int from_replicas,
 LbProfile measure_amr_lb_profile(AmrConfig config, int replicas, int lb_period,
                                  charm::RuntimeConfig base) {
   EHPC_EXPECTS(replicas > 0 && lb_period > 0);
-  charm::RuntimeConfig rc = base;
-  rc.num_pes = replicas;
-  charm::Runtime rt(rc);
-  Amr app(rt, config);
-  app.driver().set_lb_period(lb_period);
-  app.start();
-  rt.run();
-  EHPC_ENSURES(app.driver().finished());
-  LbProfile profile;
-  double pre_sum = 0.0;
-  double post_sum = 0.0;
-  double migrated_sum = 0.0;
-  for (const auto& step : rt.lb_history()) {
-    pre_sum += step.pre_ratio;
-    post_sum += step.post_ratio;
-    migrated_sum += static_cast<double>(step.migrated);
-    ++profile.lb_steps;
-  }
-  if (profile.lb_steps > 0) {
-    const double n = static_cast<double>(profile.lb_steps);
-    profile.pre_ratio = pre_sum / n;
-    profile.post_ratio = post_sum / n;
-    profile.migrations_per_step = migrated_sum / n;
-  }
-  return profile;
+  return measure_amr_scaling(config, {replicas}, lb_period, base).front().lb;
 }
 
 std::vector<ScalingPoint> measure_graph_scaling(
     GraphConfig config, const std::vector<int>& replica_counts, int lb_period,
     charm::RuntimeConfig base) {
-  std::vector<ScalingPoint> out;
-  out.reserve(replica_counts.size());
-  for (int replicas : replica_counts) {
-    charm::RuntimeConfig rc = base;
-    rc.num_pes = replicas;
-    charm::Runtime rt(rc);
-    Graph app(rt, config);
-    app.driver().set_lb_period(lb_period);
-    app.start();
-    rt.run();
-    EHPC_ENSURES(app.driver().finished());
-    // Mean over all supersteps: LB migrations change the per-step time
-    // mid-run, so there is no steady state to isolate.
-    const auto& ends = app.driver().iteration_end_times();
-    EHPC_EXPECTS(!ends.empty());
-    out.push_back({replicas, ends.back() / static_cast<double>(ends.size())});
-  }
-  return out;
+  // The shape is a pure function of the config: build it once for every
+  // replica count, and drop it with the call.
+  return measure_runs<Graph>(std::make_shared<const GraphShape>(config),
+                             replica_counts, lb_period, base, mean_step);
 }
 
 LbProfile measure_graph_lb_profile(GraphConfig config, int replicas,
                                    int lb_period, charm::RuntimeConfig base) {
   EHPC_EXPECTS(replicas > 0 && lb_period > 0);
-  charm::RuntimeConfig rc = base;
-  rc.num_pes = replicas;
-  charm::Runtime rt(rc);
-  Graph app(rt, config);
-  app.driver().set_lb_period(lb_period);
-  app.start();
-  rt.run();
-  EHPC_ENSURES(app.driver().finished());
-  LbProfile profile;
-  double pre_sum = 0.0;
-  double post_sum = 0.0;
-  double migrated_sum = 0.0;
-  for (const auto& step : rt.lb_history()) {
-    pre_sum += step.pre_ratio;
-    post_sum += step.post_ratio;
-    migrated_sum += static_cast<double>(step.migrated);
-    ++profile.lb_steps;
-  }
-  if (profile.lb_steps > 0) {
-    const double n = static_cast<double>(profile.lb_steps);
-    profile.pre_ratio = pre_sum / n;
-    profile.post_ratio = post_sum / n;
-    profile.migrations_per_step = migrated_sum / n;
-  }
-  return profile;
+  return measure_graph_scaling(config, {replicas}, lb_period, base).front().lb;
 }
 
 PiecewiseLinear scaling_curve(const std::vector<ScalingPoint>& points) {

@@ -12,6 +12,16 @@
 
 namespace ehpc::apps {
 
+/// Imbalance profile of one run with periodic load balancing: the mean
+/// pre/post-LB max/avg load ratios and migrations per LB step reported by
+/// the runtime's `lb_history()`.
+struct LbProfile {
+  double pre_ratio = 1.0;         ///< mean max/avg PE load before an LB step
+  double post_ratio = 1.0;        ///< mean max/avg PE load after an LB step
+  double migrations_per_step = 0.0;
+  int lb_steps = 0;
+};
+
 /// One strong-scaling measurement: steady-state time per step at a replica
 /// count. These curves feed the scheduler simulator (paper §4.3.1: "We use
 /// strong scaling performance measurements ... to model the runtime of a job
@@ -19,6 +29,9 @@ namespace ehpc::apps {
 struct ScalingPoint {
   int replicas = 0;
   double time_per_step_s = 0.0;
+  /// The same run's LB profile (AMR and graph; default when nothing
+  /// balanced), so one run feeds both the curve and the profile.
+  LbProfile lb{};
 };
 
 /// Canonical Jacobi configuration for a given model grid size: 16×16 blocks
@@ -52,6 +65,7 @@ charm::RescaleTiming measure_jacobi_rescale(int grid_n, int from_replicas,
 /// the configured load balancer every that many iterations, so the measured
 /// step time reflects the strategy's balancing quality *and* its cost —
 /// that is what differentiates null/greedy/refine on an irregular app.
+/// Each point also carries its run's LB profile.
 std::vector<ScalingPoint> measure_amr_scaling(
     AmrConfig config, const std::vector<int>& replica_counts,
     int lb_period = 0, charm::RuntimeConfig base = {});
@@ -64,16 +78,8 @@ charm::RescaleTiming measure_amr_rescale(AmrConfig config, int from_replicas,
                                          int warmup_iterations = 8,
                                          charm::RuntimeConfig base = {});
 
-/// Imbalance profile of one AMR run with periodic load balancing: the mean
-/// pre/post-LB max/avg load ratios and migrations per LB step reported by
-/// the runtime's `lb_history()`.
-struct LbProfile {
-  double pre_ratio = 1.0;         ///< mean max/avg PE load before an LB step
-  double post_ratio = 1.0;        ///< mean max/avg PE load after an LB step
-  double migrations_per_step = 0.0;
-  int lb_steps = 0;
-};
-
+/// The LB profile of one AMR run: `measure_amr_scaling` at one replica
+/// count, which must balance (`lb_period` > 0).
 LbProfile measure_amr_lb_profile(AmrConfig config, int replicas,
                                  int lb_period = 5,
                                  charm::RuntimeConfig base = {});
@@ -82,10 +88,12 @@ LbProfile measure_amr_lb_profile(AmrConfig config, int replicas,
 /// is taken over the whole run (supersteps slow down as hub parts contend
 /// for uplinks, then speed up after LB migrations) — pass a contention
 /// NetworkModel in `base` to make placement quality visible in the number.
+/// The graph is built once and shared by the runs at every replica count.
 std::vector<ScalingPoint> measure_graph_scaling(
     GraphConfig config, const std::vector<int>& replica_counts,
     int lb_period = 0, charm::RuntimeConfig base = {});
 
+/// The LB profile of one graph run (see `measure_amr_lb_profile`).
 LbProfile measure_graph_lb_profile(GraphConfig config, int replicas,
                                    int lb_period = 4,
                                    charm::RuntimeConfig base = {});

@@ -96,61 +96,37 @@ double GraphPart::compute() {
   return active;
 }
 
-Graph::Graph(Runtime& rt, GraphConfig config) : rt_(rt), config_(config) {
-  EHPC_EXPECTS(config_.vertices >= 2);
-  EHPC_EXPECTS(config_.parts >= 1 && config_.parts <= config_.vertices);
-  EHPC_EXPECTS(config_.skew >= 0.0);
-  EHPC_EXPECTS(config_.avg_degree >= 1.0);
-  EHPC_EXPECTS(config_.max_iterations > 0);
-  EHPC_EXPECTS(config_.flops_per_edge >= 0.0);
+GraphShape::GraphShape(const GraphConfig& config_in) : config(config_in) {
+  EHPC_EXPECTS(config.vertices >= 2);
+  EHPC_EXPECTS(config.parts >= 1 && config.parts <= config.vertices);
+  EHPC_EXPECTS(config.skew >= 0.0);
+  EHPC_EXPECTS(config.avg_degree >= 1.0);
+  EHPC_EXPECTS(config.max_iterations > 0);
+  EHPC_EXPECTS(config.flops_per_edge >= 0.0);
 
-  build_topology();
-
-  auto topos = topos_;
-  array_ = rt_.create_array("graph", config_.parts,
-                            [topos](charm::ElementId e) {
-                              // Ranks restart fresh; pup overwrites them when
-                              // the factory rebuilds an element after a
-                              // restart. The immutable topology re-attaches.
-                              return std::make_unique<GraphPart>(
-                                  (*topos)[static_cast<std::size_t>(e)]);
-                            });
-
-  driver_ = std::make_unique<IterationDriver>(
-      rt_, array_, config_.max_iterations, [this](int iter) { kick(iter); });
-}
-
-int Graph::part_of(int vertex) const {
-  EHPC_EXPECTS(vertex >= 0 && vertex < config_.vertices);
-  const auto it =
-      std::upper_bound(part_first_.begin(), part_first_.end(), vertex);
-  return static_cast<int>(it - part_first_.begin()) - 1;
-}
-
-void Graph::build_topology() {
-  const int v_count = config_.vertices;
-  const int p_count = config_.parts;
+  const int v_count = config.vertices;
+  const int p_count = config.parts;
 
   // Contiguous ranges; the first (vertices % parts) parts take the extra
   // vertex. Hubs (low vertex ids) therefore pile into the low parts.
-  part_first_.assign(static_cast<std::size_t>(p_count) + 1, 0);
+  part_first.assign(static_cast<std::size_t>(p_count) + 1, 0);
   const int base = v_count / p_count;
   const int rem = v_count % p_count;
   for (int p = 0; p < p_count; ++p) {
-    part_first_[static_cast<std::size_t>(p) + 1] =
-        part_first_[static_cast<std::size_t>(p)] + base + (p < rem ? 1 : 0);
+    part_first[static_cast<std::size_t>(p) + 1] =
+        part_first[static_cast<std::size_t>(p)] + base + (p < rem ? 1 : 0);
   }
   std::vector<int> part_of_vertex(static_cast<std::size_t>(v_count));
   for (int p = 0; p < p_count; ++p) {
-    for (int v = part_first_[static_cast<std::size_t>(p)];
-         v < part_first_[static_cast<std::size_t>(p) + 1]; ++v) {
+    for (int v = part_first[static_cast<std::size_t>(p)];
+         v < part_first[static_cast<std::size_t>(p) + 1]; ++v) {
       part_of_vertex[static_cast<std::size_t>(v)] = p;
     }
   }
 
   // Chung-Lu style degrees: vertex u gets weight (u+1)^(-skew); out-degrees
   // split the target edge budget proportionally (at least one stub each).
-  const double s = config_.skew;
+  const double s = config.skew;
   double total_weight = 0.0;
   std::vector<double> weight(static_cast<std::size_t>(v_count));
   for (int u = 0; u < v_count; ++u) {
@@ -159,15 +135,15 @@ void Graph::build_topology() {
     total_weight += weight[static_cast<std::size_t>(u)];
   }
   const double edge_budget =
-      static_cast<double>(v_count) * config_.avg_degree;
-  out_degree_.assign(static_cast<std::size_t>(v_count), 1);
+      static_cast<double>(v_count) * config.avg_degree;
+  out_degree.assign(static_cast<std::size_t>(v_count), 1);
   for (int u = 0; u < v_count; ++u) {
-    out_degree_[static_cast<std::size_t>(u)] = std::max(
+    out_degree[static_cast<std::size_t>(u)] = std::max(
         1, static_cast<int>(std::lround(
                edge_budget * weight[static_cast<std::size_t>(u)] /
                total_weight)));
-    max_out_degree_ =
-        std::max(max_out_degree_, out_degree_[static_cast<std::size_t>(u)]);
+    max_out_degree =
+        std::max(max_out_degree, out_degree[static_cast<std::size_t>(u)]);
   }
 
   // Inverse-CDF target sampling over the same weights: density ∝ t^(-s) on
@@ -185,18 +161,16 @@ void Graph::build_topology() {
     return std::clamp(v, 0, v_count - 1);
   };
 
-  auto topos =
-      std::make_shared<std::vector<std::shared_ptr<const GraphPartTopo>>>();
-  std::vector<GraphPartTopo> build(static_cast<std::size_t>(p_count));
+  parts.resize(static_cast<std::size_t>(p_count));
   // Cross-edge accumulation keyed (src part, dst part); ordered map keeps
   // peer lists in ascending part order.
   std::map<std::pair<int, int>, std::pair<std::vector<int>, std::vector<int>>>
       cross;
   for (int p = 0; p < p_count; ++p) {
-    auto& t = build[static_cast<std::size_t>(p)];
-    t.first_vertex = part_first_[static_cast<std::size_t>(p)];
-    t.num_vertices = part_first_[static_cast<std::size_t>(p) + 1] -
-                     part_first_[static_cast<std::size_t>(p)];
+    auto& t = parts[static_cast<std::size_t>(p)];
+    t.first_vertex = part_first[static_cast<std::size_t>(p)];
+    t.num_vertices = part_first[static_cast<std::size_t>(p) + 1] -
+                     part_first[static_cast<std::size_t>(p)];
     t.inv_outdeg.resize(static_cast<std::size_t>(t.num_vertices));
   }
 
@@ -204,22 +178,22 @@ void Graph::build_topology() {
   // value order and receive-side index order are the same enumeration.
   for (int u = 0; u < v_count; ++u) {
     const int p = part_of_vertex[static_cast<std::size_t>(u)];
-    auto& tp = build[static_cast<std::size_t>(p)];
+    auto& tp = parts[static_cast<std::size_t>(p)];
     const int u_local = u - tp.first_vertex;
-    const int deg = out_degree_[static_cast<std::size_t>(u)];
+    const int deg = out_degree[static_cast<std::size_t>(u)];
     tp.inv_outdeg[static_cast<std::size_t>(u_local)] =
         1.0 / static_cast<double>(deg);
     tp.total_out_edges += deg;
     for (int k = 0; k < deg; ++k) {
-      int v = draw_target(stub_draw(config_.seed, u, k));
+      int v = draw_target(Graph::stub_draw(config.seed, u, k));
       if (v == u) v = (v + 1) % v_count;  // no self-loops
-      ++total_edges_;
+      ++total_edges;
       const int q = part_of_vertex[static_cast<std::size_t>(v)];
-      const int v_local = v - build[static_cast<std::size_t>(q)].first_vertex;
+      const int v_local = v - parts[static_cast<std::size_t>(q)].first_vertex;
       if (q == p) {
         tp.local_edges.push_back({u_local, v_local});
       } else {
-        ++cut_edges_;
+        ++cut_edges;
         auto& lists = cross[{p, q}];
         lists.first.push_back(u_local);
         lists.second.push_back(v_local);
@@ -233,7 +207,7 @@ void Graph::build_topology() {
   std::map<std::pair<int, int>, int> slot_of;  // (src, dst) -> in_peers index
   for (auto& [key, lists] : cross) {
     const auto [p, q] = key;
-    auto& tq = build[static_cast<std::size_t>(q)];
+    auto& tq = parts[static_cast<std::size_t>(q)];
     slot_of[key] = static_cast<int>(tq.in_peers.size());
     GraphPartTopo::InPeer in;
     in.part = p;
@@ -246,21 +220,41 @@ void Graph::build_topology() {
     out.part = q;
     out.dst_slot = slot_of[key];
     out.src_local = std::move(lists.first);
-    build[static_cast<std::size_t>(p)].out_peers.push_back(std::move(out));
+    parts[static_cast<std::size_t>(p)].out_peers.push_back(std::move(out));
   }
   // The map iterates (p, q) lexicographically, so each part's in_peers are
   // ascending in source part and out_peers ascending in destination part.
+}
 
-  topos->reserve(build.size());
-  for (auto& t : build) {
-    topos->push_back(std::make_shared<const GraphPartTopo>(std::move(t)));
-  }
-  topos_ = std::move(topos);
+Graph::Graph(Runtime& rt, GraphConfig config)
+    : Graph(rt, std::make_shared<const GraphShape>(config)) {}
+
+Graph::Graph(Runtime& rt, std::shared_ptr<const GraphShape> shape)
+    : rt_(rt), shape_(std::move(shape)) {
+  EHPC_EXPECTS(shape_ != nullptr);
+  array_ = rt_.create_array(
+      "graph", config().parts, [shape = shape_](charm::ElementId e) {
+        // Ranks restart fresh; pup overwrites them when the factory rebuilds
+        // an element after a restart. The immutable topology re-attaches,
+        // aliasing the shape so the shape outlives every element.
+        return std::make_unique<GraphPart>(std::shared_ptr<const GraphPartTopo>(
+            shape, &shape->parts[static_cast<std::size_t>(e)]));
+      });
+
+  driver_ = std::make_unique<IterationDriver>(
+      rt_, array_, config().max_iterations, [this](int iter) { kick(iter); });
+}
+
+int Graph::part_of(int vertex) const {
+  EHPC_EXPECTS(vertex >= 0 && vertex < config().vertices);
+  const auto& first = shape_->part_first;
+  const auto it = std::upper_bound(first.begin(), first.end(), vertex);
+  return static_cast<int>(it - first.begin()) - 1;
 }
 
 std::vector<double> Graph::ranks() const {
-  std::vector<double> out(static_cast<std::size_t>(config_.vertices), 0.0);
-  for (int p = 0; p < config_.parts; ++p) {
+  std::vector<double> out(static_cast<std::size_t>(config().vertices), 0.0);
+  for (int p = 0; p < config().parts; ++p) {
     const auto& part =
         static_cast<const GraphPart&>(rt_.element(array_, p));
     const auto& topo = part.topo();
@@ -281,12 +275,15 @@ void Graph::send_updates(int part) {
     const std::size_t bytes = 16 * values.size();
     const int slot = peer.dst_slot;
     rt_.send(array_, peer.part, bytes,
-             [this, slot, values = std::move(values)](Chare& c, Runtime& rt) {
+             [this, slot, values = std::move(values)](Chare& c,
+                                                      Runtime& rt) mutable {
                auto& p = static_cast<GraphPart&>(c);
                // Combine work scales with the incoming edge count.
-               rt.charge_flops(config_.flops_per_edge *
+               rt.charge_flops(config().flops_per_edge *
                                static_cast<double>(values.size()));
-               p.receive(slot, values);
+               // Ad hoc handlers run once (the runtime moves them out of
+               // the envelope first), so the payload can move on.
+               p.receive(slot, std::move(values));
                maybe_compute(p, rt);
              });
   }
@@ -296,7 +293,7 @@ void Graph::maybe_compute(GraphPart& p, Runtime& rt) {
   if (!p.ready_to_compute()) return;
   const auto& topo = p.topo();
   // Local scatter/gather plus the damped update over the range.
-  rt.charge_flops(config_.flops_per_edge *
+  rt.charge_flops(config().flops_per_edge *
                       static_cast<double>(topo.local_edges.size()) +
                   4.0 * static_cast<double>(topo.num_vertices));
   const double active = p.compute();
@@ -306,12 +303,12 @@ void Graph::maybe_compute(GraphPart& p, Runtime& rt) {
 void Graph::kick(int /*iteration*/) {
   // "Start superstep": every part scatters rank/degree along its out-edges,
   // then updates once all expected peer messages arrive.
-  for (int e = 0; e < config_.parts; ++e) {
+  for (int e = 0; e < config().parts; ++e) {
     rt_.send(array_, e, /*bytes=*/16, [this, e](Chare& c, Runtime& rt) {
       auto& part = static_cast<GraphPart&>(c);
       part.mark_started();
       // The scatter evaluation walks every out-edge once.
-      rt.charge_flops(config_.flops_per_edge *
+      rt.charge_flops(config().flops_per_edge *
                       static_cast<double>(part.topo().total_out_edges));
       send_updates(e);
       maybe_compute(part, rt);

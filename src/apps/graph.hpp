@@ -59,6 +59,22 @@ struct GraphPartTopo {
   std::int64_t total_out_edges = 0;  ///< local + cross (sender flops)
 };
 
+/// The immutable structure of one graph: the Chung-Lu edge set partitioned
+/// into per-part topologies. A pure function of its config (validated on
+/// construction), so runs of the same graph at different PE counts can share
+/// one shape instead of regenerating it.
+struct GraphShape {
+  explicit GraphShape(const GraphConfig& config);
+
+  GraphConfig config;
+  std::vector<GraphPartTopo> parts;
+  std::vector<int> part_first;  ///< first vertex of each part, plus end
+  std::vector<int> out_degree;
+  std::int64_t total_edges = 0;
+  std::int64_t cut_edges = 0;
+  int max_out_degree = 0;
+};
+
 /// One graph partition: the ranks of its vertex range plus superstep gates.
 /// Migratable; the topology is shared immutable state re-attached by the
 /// element factory after restarts.
@@ -101,13 +117,17 @@ class GraphPart final : public charm::Chare {
   bool started_ = false;
 };
 
-/// The graph application: generates the Chung-Lu edge set, partitions it,
-/// wires the superstep messaging and the active-vertex reduction, and
-/// drives supersteps through an IterationDriver (so rescales and periodic
-/// load balancing are honoured at superstep boundaries).
+/// The graph application: runs a GraphShape (built from the config, or
+/// shared with other runs of the same graph), wires the superstep messaging
+/// and the active-vertex reduction, and drives supersteps through an
+/// IterationDriver (so rescales and periodic load balancing are honoured at
+/// superstep boundaries).
 class Graph {
  public:
   Graph(charm::Runtime& rt, GraphConfig config);
+  /// Run a prebuilt shape; it is shared, never copied, and outlives the
+  /// elements whose topologies point into it.
+  Graph(charm::Runtime& rt, std::shared_ptr<const GraphShape> shape);
 
   /// Kick superstep 0. Call `rt.run()` (or run_until) afterwards.
   void start() { driver_->start(); }
@@ -116,18 +136,18 @@ class Graph {
   const IterationDriver& driver() const { return *driver_; }
 
   charm::ArrayId array() const { return array_; }
-  const GraphConfig& config() const { return config_; }
+  const GraphConfig& config() const { return shape_->config; }
 
   // ---- graph shape (tests and benches) ----
-  std::int64_t total_edges() const { return total_edges_; }
-  std::int64_t cut_edges() const { return cut_edges_; }
-  int max_out_degree() const { return max_out_degree_; }
+  std::int64_t total_edges() const { return shape_->total_edges; }
+  std::int64_t cut_edges() const { return shape_->cut_edges; }
+  int max_out_degree() const { return shape_->max_out_degree; }
   int out_degree(int vertex) const {
-    return out_degree_[static_cast<std::size_t>(vertex)];
+    return shape_->out_degree[static_cast<std::size_t>(vertex)];
   }
   int part_of(int vertex) const;
   const GraphPartTopo& part_topo(int part) const {
-    return *(*topos_)[static_cast<std::size_t>(part)];
+    return shape_->parts[static_cast<std::size_t>(part)];
   }
 
   /// Snapshot of every vertex rank in vertex order (driver-side gather;
@@ -147,19 +167,12 @@ class Graph {
   static constexpr double kActiveThreshold = 1.0e-6;
 
  private:
-  void build_topology();
   void kick(int iteration);
   void send_updates(int part);
   void maybe_compute(GraphPart& p, charm::Runtime& rt);
 
   charm::Runtime& rt_;
-  GraphConfig config_;
-  std::shared_ptr<std::vector<std::shared_ptr<const GraphPartTopo>>> topos_;
-  std::vector<int> part_first_;  ///< first vertex of each part, plus end
-  std::vector<int> out_degree_;
-  std::int64_t total_edges_ = 0;
-  std::int64_t cut_edges_ = 0;
-  int max_out_degree_ = 0;
+  std::shared_ptr<const GraphShape> shape_;
   charm::ArrayId array_ = -1;
   std::unique_ptr<IterationDriver> driver_;
 };

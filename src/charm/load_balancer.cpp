@@ -162,19 +162,27 @@ LbAssignment CommRefineLb::assign(const std::vector<LbObject>& objects,
   EHPC_EXPECTS(!available_pes.empty());
   if (comm.empty()) return assign(objects, available_pes);
 
+  // PEs are handled by their position in `available_pes` (sorted), so the
+  // tables below stay dense however sparse the ids are after a shrink.
+  const std::size_t n_pes = available_pes.size();
+  const auto position = [&](PeId pe) {
+    return static_cast<std::size_t>(
+        std::lower_bound(available_pes.begin(), available_pes.end(), pe) -
+        available_pes.begin());
+  };
+
   // Seed with the best compute balance, then spend the tolerance headroom
   // on traffic locality.
-  LbAssignment out = GreedyLb().assign(objects, available_pes);
-
-  std::map<PeId, double> pe_load;
-  for (PeId pe : available_pes) pe_load[pe] = 0.0;
+  const LbAssignment seed = GreedyLb().assign(objects, available_pes);
+  std::vector<std::size_t> at(objects.size());
+  std::vector<double> pe_load(n_pes, 0.0);
   double total_load = 0.0;
   for (std::size_t i = 0; i < objects.size(); ++i) {
-    pe_load[out[i]] += objects[i].load;
+    at[i] = position(seed[i]);
+    pe_load[at[i]] += objects[i].load;
     total_load += objects[i].load;
   }
-  const double cap =
-      tolerance_ * total_load / static_cast<double>(available_pes.size());
+  const double cap = tolerance_ * total_load / static_cast<double>(n_pes);
 
   // Adjacency lists plus per-object total adjacent traffic.
   std::vector<std::vector<std::pair<int, double>>> adj(objects.size());
@@ -196,10 +204,19 @@ LbAssignment CommRefineLb::assign(const std::vector<LbObject>& objects,
     return adjacent_bytes[a] > adjacent_bytes[b];
   });
 
-  const auto comm_cost = [&](std::size_t i, PeId pe) {
+  // byte_cost is a pure function of the PE pair, and the passes below ask
+  // for it per (object, candidate PE, neighbour): price each pair once.
+  std::vector<double> price(n_pes * n_pes);
+  for (std::size_t a = 0; a < n_pes; ++a) {
+    for (std::size_t b = 0; b < n_pes; ++b) {
+      price[a * n_pes + b] = comm.byte_cost(available_pes[a], available_pes[b]);
+    }
+  }
+  const auto comm_cost = [&](std::size_t i, std::size_t pe) {
+    const double* row = &price[pe * n_pes];
     double cost = 0.0;
     for (const auto& [j, bytes] : adj[i]) {
-      cost += bytes * comm.byte_cost(pe, out[static_cast<std::size_t>(j)]);
+      cost += bytes * row[at[static_cast<std::size_t>(j)]];
     }
     return cost;
   };
@@ -211,10 +228,10 @@ LbAssignment CommRefineLb::assign(const std::vector<LbObject>& objects,
     bool moved = false;
     for (std::size_t i : order) {
       if (adj[i].empty()) continue;
-      const PeId from = out[i];
+      const std::size_t from = at[i];
       double best_cost = comm_cost(i, from);
-      PeId best_pe = from;
-      for (PeId pe : available_pes) {
+      std::size_t best_pe = from;
+      for (std::size_t pe = 0; pe < n_pes; ++pe) {
         if (pe == from) continue;
         if (pe_load[pe] + objects[i].load > cap) continue;
         const double cost = comm_cost(i, pe);
@@ -226,11 +243,16 @@ LbAssignment CommRefineLb::assign(const std::vector<LbObject>& objects,
       if (best_pe != from) {
         pe_load[from] -= objects[i].load;
         pe_load[best_pe] += objects[i].load;
-        out[i] = best_pe;
+        at[i] = best_pe;
         moved = true;
       }
     }
     if (!moved) break;
+  }
+
+  LbAssignment out(objects.size());
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    out[i] = available_pes[at[i]];
   }
   return out;
 }

@@ -57,15 +57,20 @@ Workloads cached(const CalibrationKey& key,
 /// The AMR and graph calibrations: per class, the step-time curve over
 /// 1-64 replicas and the per-rescale LB behaviour at 16 replicas (where the
 /// imbalance is pronounced), both balancing every 4 iterations under `rc`.
+/// The 16-replica run of the curve is the LB profile's run, so it is read
+/// off that point rather than run again.
 Workloads measure_with_lb(const auto& config_for, const auto& scaling,
-                          const auto& profile, const charm::RuntimeConfig& rc) {
+                          const charm::RuntimeConfig& rc) {
+  constexpr int kProfileReplicas = 16;
   Workloads out = analytic_workloads();
   for (auto& [cls, workload] : out) {
-    const auto config = config_for(cls);
-    workload.time_per_step = apps::scaling_curve(
-        scaling(config, {1, 4, 16, 64}, /*lb_period=*/4, rc));
-    const apps::LbProfile lb = profile(config, /*replicas=*/16,
-                                       /*lb_period=*/4, rc);
+    const std::vector<apps::ScalingPoint> points = scaling(
+        config_for(cls), {1, 4, kProfileReplicas, 64}, /*lb_period=*/4, rc);
+    workload.time_per_step = apps::scaling_curve(points);
+    const apps::LbProfile& lb =
+        std::find_if(points.begin(), points.end(), [](const auto& p) {
+          return p.replicas == kProfileReplicas;
+        })->lb;
     workload.lb.post_ratio = lb.post_ratio;
     workload.lb.migrations_per_step = lb.migrations_per_step;
   }
@@ -120,7 +125,7 @@ Workloads amr_calibrated_workloads(double refine_rate,
       [&] {
         return measure_with_lb(
             [&](JobClass c) { return amr_config_for(c, refine_rate); },
-            apps::measure_amr_scaling, apps::measure_amr_lb_profile,
+            apps::measure_amr_scaling,
             {.load_balancer = lb_strategy});
       });
 }
@@ -153,7 +158,7 @@ Workloads graph_calibrated_workloads(int vertices, double skew,
         // radix-4 topology): rack locality actually varies with placement.
         return measure_with_lb(
             [&](JobClass c) { return graph_config_for(c, vertices, skew); },
-            apps::measure_graph_scaling, apps::measure_graph_lb_profile,
+            apps::measure_graph_scaling,
             {.pes_per_node = 4,
              .network = net::make_network_model(net_model, net_oversub),
              .load_balancer = lb_strategy});

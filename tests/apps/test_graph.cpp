@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "charm/runtime.hpp"
@@ -172,6 +174,85 @@ TEST(Graph, ActiveVertexReductionStaysInRange) {
   EXPECT_LE(active, static_cast<double>(config.vertices));
   // Integer-valued by construction (counts contribute exactly).
   EXPECT_EQ(active, std::floor(active));
+}
+
+void expect_same_topo(const GraphPartTopo& a, const GraphPartTopo& b) {
+  EXPECT_EQ(a.first_vertex, b.first_vertex);
+  EXPECT_EQ(a.num_vertices, b.num_vertices);
+  EXPECT_EQ(a.inv_outdeg, b.inv_outdeg);
+  EXPECT_EQ(a.local_edges, b.local_edges);
+  EXPECT_EQ(a.total_out_edges, b.total_out_edges);
+  ASSERT_EQ(a.out_peers.size(), b.out_peers.size());
+  for (std::size_t i = 0; i < a.out_peers.size(); ++i) {
+    EXPECT_EQ(a.out_peers[i].part, b.out_peers[i].part);
+    EXPECT_EQ(a.out_peers[i].dst_slot, b.out_peers[i].dst_slot);
+    EXPECT_EQ(a.out_peers[i].src_local, b.out_peers[i].src_local);
+  }
+  ASSERT_EQ(a.in_peers.size(), b.in_peers.size());
+  for (std::size_t i = 0; i < a.in_peers.size(); ++i) {
+    EXPECT_EQ(a.in_peers[i].part, b.in_peers[i].part);
+    EXPECT_EQ(a.in_peers[i].dst_local, b.in_peers[i].dst_local);
+  }
+}
+
+TEST(GraphShape, SharedShapeMatchesAFreshBuild) {
+  const GraphConfig config = small_config();
+  const auto shape = std::make_shared<const GraphShape>(config);
+  charm::RuntimeConfig rc;
+  rc.num_pes = 4;
+  charm::Runtime fresh_rt(rc);
+  charm::Runtime shared_rt(rc);
+  Graph fresh(fresh_rt, config);
+  Graph shared(shared_rt, shape);
+  EXPECT_EQ(shared.total_edges(), fresh.total_edges());
+  EXPECT_EQ(shared.cut_edges(), fresh.cut_edges());
+  EXPECT_EQ(shared.max_out_degree(), fresh.max_out_degree());
+  for (int v = 0; v < config.vertices; ++v) {
+    ASSERT_EQ(shared.out_degree(v), fresh.out_degree(v)) << "vertex " << v;
+  }
+  for (int p = 0; p < config.parts; ++p) {
+    SCOPED_TRACE("part " + std::to_string(p));
+    expect_same_topo(shared.part_topo(p), fresh.part_topo(p));
+  }
+  fresh.start();
+  fresh_rt.run();
+  shared.start();
+  shared_rt.run();
+  ASSERT_TRUE(fresh.driver().finished());
+  ASSERT_TRUE(shared.driver().finished());
+  EXPECT_EQ(shared.ranks(), fresh.ranks());
+  EXPECT_EQ(shared.driver().iteration_end_times(),
+            fresh.driver().iteration_end_times());
+}
+
+TEST(GraphShape, GraphsSharingOneShapeAgreeAcrossPeCounts) {
+  const auto shape = std::make_shared<const GraphShape>(small_config());
+  std::vector<std::vector<double>> ranks;
+  for (const int pes : {1, 3, 8}) {
+    charm::RuntimeConfig rc;
+    rc.num_pes = pes;
+    rc.load_balancer = "greedy";
+    charm::Runtime rt(rc);
+    Graph app(rt, shape);
+    app.driver().set_lb_period(2);
+    app.start();
+    rt.run();
+    ASSERT_TRUE(app.driver().finished());
+    ranks.push_back(app.ranks());
+  }
+  // Element topologies alias the shape; every run has released them.
+  EXPECT_EQ(shape.use_count(), 1);
+  EXPECT_EQ(ranks[1], ranks[0]);
+  EXPECT_EQ(ranks[2], ranks[0]);
+}
+
+TEST(GraphShape, BuildingTheShapeValidatesTheConfig) {
+  GraphConfig config = small_config();
+  config.parts = config.vertices + 1;
+  EXPECT_THROW(GraphShape{config}, PreconditionError);
+  config = small_config();
+  config.avg_degree = 0.5;
+  EXPECT_THROW(GraphShape{config}, PreconditionError);
 }
 
 TEST(Graph, RejectsDegenerateConfigs) {

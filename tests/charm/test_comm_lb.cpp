@@ -8,7 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <numeric>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "apps/graph.hpp"
@@ -115,6 +121,151 @@ TEST(RunStrategy, CommDrivenProposalsWaiveTheNeverWorseGuard) {
     EXPECT_EQ(kept[i], objects[i].current_pe);
   }
   EXPECT_EQ(no_comm_stats.migrated, 0);
+}
+
+/// The strategy as it was before it priced each PE pair once: byte_cost is
+/// called per (object, candidate PE, neighbour) and loads live in a map
+/// keyed by PE id. The table-driven strategy must match it exactly.
+LbAssignment reference_comm_refine(double tolerance,
+                                   const std::vector<LbObject>& objects,
+                                   const LbCommGraph& comm,
+                                   const std::vector<PeId>& available_pes) {
+  LbAssignment out = GreedyLb().assign(objects, available_pes);
+  std::map<PeId, double> pe_load;
+  for (PeId pe : available_pes) pe_load[pe] = 0.0;
+  double total_load = 0.0;
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    pe_load[out[i]] += objects[i].load;
+    total_load += objects[i].load;
+  }
+  const double cap =
+      tolerance * total_load / static_cast<double>(available_pes.size());
+  std::vector<std::vector<std::pair<int, double>>> adj(objects.size());
+  std::vector<double> adjacent_bytes(objects.size(), 0.0);
+  for (const auto& e : comm.edges) {
+    if (e.a == e.b || e.bytes <= 0.0) continue;
+    adj[static_cast<std::size_t>(e.a)].push_back({e.b, e.bytes});
+    adj[static_cast<std::size_t>(e.b)].push_back({e.a, e.bytes});
+    adjacent_bytes[static_cast<std::size_t>(e.a)] += e.bytes;
+    adjacent_bytes[static_cast<std::size_t>(e.b)] += e.bytes;
+  }
+  std::vector<std::size_t> order(objects.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return adjacent_bytes[a] > adjacent_bytes[b];
+  });
+  const auto comm_cost = [&](std::size_t i, PeId pe) {
+    double cost = 0.0;
+    for (const auto& [j, bytes] : adj[i]) {
+      cost += bytes * comm.byte_cost(pe, out[static_cast<std::size_t>(j)]);
+    }
+    return cost;
+  };
+  for (int pass = 0; pass < 8; ++pass) {
+    bool moved = false;
+    for (std::size_t i : order) {
+      if (adj[i].empty()) continue;
+      const PeId from = out[i];
+      double best_cost = comm_cost(i, from);
+      PeId best_pe = from;
+      for (PeId pe : available_pes) {
+        if (pe == from) continue;
+        if (pe_load[pe] + objects[i].load > cap) continue;
+        const double cost = comm_cost(i, pe);
+        if (cost < best_cost) {
+          best_cost = cost;
+          best_pe = pe;
+        }
+      }
+      if (best_pe != from) {
+        pe_load[from] -= objects[i].load;
+        pe_load[best_pe] += objects[i].load;
+        out[i] = best_pe;
+        moved = true;
+      }
+    }
+    if (!moved) break;
+  }
+  return out;
+}
+
+/// A seeded random problem: power-law-ish traffic among `n_objects`
+/// objects, and a topology-like price (free on a PE, cheap within a pair of
+/// PEs, dear across, with a per-direction skew so the price is asymmetric).
+struct CommProblem {
+  std::vector<LbObject> objects;
+  LbCommGraph comm;
+};
+
+CommProblem random_problem(std::uint64_t seed, int n_objects,
+                           const std::vector<PeId>& pes) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  CommProblem problem;
+  for (int i = 0; i < n_objects; ++i) {
+    // Quantized loads make equal-load ties (and cap-boundary cases) common.
+    const double load = 0.25 * static_cast<double>(1 + rng() % 8);
+    problem.objects.push_back(
+        object(i, load, pes[static_cast<std::size_t>(rng() % pes.size())]));
+  }
+  const int n_edges = 3 * n_objects;
+  for (int k = 0; k < n_edges; ++k) {
+    // Low object ids are hubs: both endpoints skew towards them.
+    const auto hub = [&] {
+      const double r = unit(rng);
+      return static_cast<int>(r * r * r * static_cast<double>(n_objects));
+    };
+    const double bytes =
+        k % 7 == 0 ? 0.0 : std::floor(1.0e6 * std::pow(unit(rng), 3.0));
+    problem.comm.edges.push_back({hub(), hub(), bytes});
+  }
+  problem.comm.byte_cost = [](PeId a, PeId b) {
+    if (a == b) return 0.0;
+    const double base = a / 2 == b / 2 ? 1.0e-10 : 1.0e-9;
+    return base * (1.0 + 0.125 * static_cast<double>((a + 3 * b) % 4));
+  };
+  return problem;
+}
+
+TEST(CommRefineLb, PriceTableMatchesPerCallPricing) {
+  const std::vector<std::vector<PeId>> pe_sets{
+      {0, 1}, {0, 2, 5, 7}, {1, 2, 3, 4, 5, 6}, {3, 9, 10, 31}, {0, 1, 2, 3,
+      4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}};
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    for (const auto& pes : pe_sets) {
+      for (const double tolerance : {1.05, 1.15, 1.5}) {
+        const int n_objects = 4 + static_cast<int>(seed % 5) * 12;
+        SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                     std::to_string(pes.size()) + " PEs, tolerance " +
+                     std::to_string(tolerance));
+        const CommProblem problem = random_problem(seed, n_objects, pes);
+        EXPECT_EQ(
+            CommRefineLb(tolerance).assign(problem.objects, problem.comm, pes),
+            reference_comm_refine(tolerance, problem.objects, problem.comm,
+                                  pes));
+      }
+    }
+  }
+}
+
+TEST(CommRefineLb, PricesEachPePairAtMostOnce) {
+  const std::vector<PeId> pes{0, 2, 5, 7, 11};
+  CommProblem problem = random_problem(/*seed=*/7, /*n_objects=*/40, pes);
+  auto calls = std::make_shared<long>(0);
+  auto price = problem.comm.byte_cost;
+  problem.comm.byte_cost = [calls, price](PeId a, PeId b) {
+    ++*calls;
+    return price(a, b);
+  };
+  const LbAssignment out =
+      CommRefineLb(1.15).assign(problem.objects, problem.comm, pes);
+  EXPECT_LE(*calls, static_cast<long>(pes.size() * pes.size()));
+  EXPECT_GT(*calls, 0);
+  // And the per-call reference really does ask far more often.
+  *calls = 0;
+  EXPECT_EQ(reference_comm_refine(1.15, problem.objects, problem.comm, pes),
+            out);
+  EXPECT_GT(*calls, static_cast<long>(pes.size() * pes.size()));
 }
 
 /// Mock model that prices point-to-point messages like the flat model but
