@@ -9,6 +9,7 @@
 #include <deque>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "apps/calibration.hpp"
@@ -360,6 +361,40 @@ void BM_K8sClusterSchedule(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * pods);
 }
 BENCHMARK(BM_K8sClusterSchedule)->Arg(64)->Arg(512);
+
+// The full pod lifecycle with affinity on a persistent range(0)-node
+// cluster: each iteration creates range(0)*16 pods (the workers of 64 jobs,
+// under names and job labels not used before), runs until every pod is
+// Running, deletes them all and runs until the kubelet has removed them.
+// Covers the half BM_K8sClusterSchedule stops short of — termination,
+// removal, and the store's and index's id recycling. Items = pods cycled.
+void BM_K8sPodChurn(benchmark::State& state) {
+  const int nodes = static_cast<int>(state.range(0));
+  const int pods = nodes * 16;  // exactly fills the cluster at 1 cpu/pod
+  k8s::Cluster cluster;
+  cluster.add_nodes("node", nodes, {16, 32768});
+  std::vector<std::string> names(static_cast<std::size_t>(pods));
+  int round = 0;
+  for (auto _ : state) {
+    for (int i = 0; i < pods; ++i) {
+      const std::string job = "job-" + std::to_string(round * 64 + i % 64);
+      k8s::Pod pod;
+      pod.meta.name = job + "-worker-" + std::to_string(i / 64);
+      pod.meta.labels["job"] = job;
+      pod.affinity_key = "job";
+      pod.affinity_value = job;
+      names[static_cast<std::size_t>(i)] = pod.meta.name;
+      cluster.create_pod(std::move(pod));
+    }
+    cluster.sim().run();
+    for (const std::string& name : names) cluster.delete_pod(name);
+    cluster.sim().run();
+    ++round;
+  }
+  benchmark::DoNotOptimize(cluster.pods().size());
+  state.SetItemsProcessed(state.iterations() * pods);
+}
+BENCHMARK(BM_K8sPodChurn)->Arg(64)->Arg(512);
 
 void BM_PolicyEngineSubmitComplete(benchmark::State& state) {
   for (auto _ : state) {

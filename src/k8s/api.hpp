@@ -1,19 +1,40 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 
 namespace ehpc::k8s {
 
+/// Dense id of a stored object: its slot in the store's arena. Valid for
+/// one incarnation — `remove` frees the slot and a later `add` (of any
+/// name) may reuse it — so anything that outlives the object's lifetime,
+/// such as a timer, holds an `ObjectRef` instead.
+using ObjectId = std::uint32_t;
+inline constexpr ObjectId kNoObject = std::numeric_limits<ObjectId>::max();
+
+/// One incarnation of a stored object: its id plus its uid, which is never
+/// reused (Kubernetes' `metadata.uid`). Resolving the ref of a removed
+/// object yields nothing, even after its id or its name is reused.
+struct ObjectRef {
+  ObjectId id = kNoObject;
+  std::uint64_t uid = 0;
+};
+
 /// Kubernetes-style object metadata: stable name, monotonically increasing
 /// resource version (bumped by the store on every write), labels, and the
-/// creation timestamp in virtual time.
+/// creation timestamp in virtual time. `id` and `uid` are assigned by the
+/// store on `add`; callers leave them default.
 struct ObjectMeta {
   std::string name;
   std::uint64_t resource_version = 0;
   std::map<std::string, std::string> labels;
   double creation_time = 0.0;
+  ObjectId id = kNoObject;
+  std::uint64_t uid = 0;  ///< resource version at creation
+
+  ObjectRef ref() const { return {id, uid}; }
 };
 
 /// Requested/allocatable compute resources. CPUs are whole vCPUs ("slots" in
@@ -52,6 +73,10 @@ enum class PodPhase {
 };
 
 std::string to_string(PodPhase phase);
+
+/// The label that names a pod's owning job. The cluster index groups pods by
+/// it (`ClusterIndex::pods_with_label`).
+inline constexpr const char* kJobLabel = "job";
 
 /// A pod: one schedulable unit. Worker pods carry the owning job's name in
 /// labels["job"], which pod affinity uses for locality-aware placement.

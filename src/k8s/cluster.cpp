@@ -36,9 +36,13 @@ const Pod& Cluster::create_pod(Pod pod) {
 }
 
 void Cluster::delete_pod(const std::string& name) {
-  const Pod* pod = pods_.find(name);
+  delete_pod(pods_.find_id(name));
+}
+
+void Cluster::delete_pod(ObjectId id) {
+  const Pod* pod = pods_.find(id);
   if (pod == nullptr || pod->phase == PodPhase::kTerminating) return;
-  pods_.mutate(name, [](Pod& p) { p.phase = PodPhase::kTerminating; });
+  pods_.mutate(id, [](Pod& p) { p.phase = PodPhase::kTerminating; });
 }
 
 }  // namespace ehpc::k8s

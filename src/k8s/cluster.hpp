@@ -44,7 +44,9 @@ class Cluster {
   const Pod& create_pod(Pod pod);
 
   /// Request pod deletion (phase -> Terminating; kubelet removes it later).
+  /// No-op for an absent or already terminating pod.
   void delete_pod(const std::string& name);
+  void delete_pod(ObjectId id);
 
   /// Total CPU capacity across ready nodes. O(1) from the index.
   int total_cpus() const { return index_->total_cpus(); }

@@ -18,9 +18,9 @@ KubeScheduler::KubeScheduler(sim::Simulation& sim, ObjectStore<Node>& nodes,
   // Watch for new pending pods and for capacity freed by departing pods.
   pods_.watch([this](WatchEvent event, const Pod& pod) {
     if (event == WatchEvent::kAdded && pod.phase == PodPhase::kPending) {
-      const std::string name = pod.meta.name;
+      const ObjectRef ref = pod.meta.ref();
       sim_.schedule_after(config_.schedule_latency_s,
-                          [this, name] { try_schedule(name); });
+                          [this, ref] { try_schedule(ref); });
     } else if (event == WatchEvent::kDeleted) {
       // Freed capacity: give unschedulable pods another chance.
       request_retry();
@@ -39,25 +39,25 @@ std::string KubeScheduler::pick_node(const Pod& pod) const {
                            config_.affinity_weight);
 }
 
-void KubeScheduler::try_schedule(const std::string& pod_name) {
-  const Pod* pod = pods_.find(pod_name);
+void KubeScheduler::try_schedule(ObjectRef ref) {
+  const Pod* pod = pods_.find(ref);
   if (pod == nullptr || pod->phase != PodPhase::kPending) return;
   ++stats_.bind_attempts;
-  const std::string node = pick_node(*pod);
+  std::string node = pick_node(*pod);
   if (node.empty()) {
     EHPC_DEBUG("kube-scheduler", "pod %s unschedulable, stays pending",
-               pod_name.c_str());
+               pod->meta.name.c_str());
     return;  // retried on the next pod/node event
   }
   const double now = sim_.now();
-  pods_.mutate(pod_name, [&](Pod& p) {
+  pods_.mutate(ref.id, [&](Pod& p) {
     p.phase = PodPhase::kScheduled;
-    p.node_name = node;
+    p.node_name = std::move(node);
     p.scheduled_time = now;
   });
   ++scheduled_count_;
-  EHPC_DEBUG("kube-scheduler", "bound pod %s -> %s", pod_name.c_str(),
-             node.c_str());
+  EHPC_DEBUG("kube-scheduler", "bound pod %s -> %s", pod->meta.name.c_str(),
+             pod->node_name.c_str());
 }
 
 void KubeScheduler::request_retry() {
@@ -69,10 +69,13 @@ void KubeScheduler::request_retry() {
 
 void KubeScheduler::retry_pending() {
   ++stats_.retry_sweeps;
-  // Copy the names: a successful bind mutates the pending index mid-sweep.
-  const auto& pending = index_->pods_in_phase(PodPhase::kPending);
-  const std::vector<std::string> names(pending.begin(), pending.end());
-  for (const std::string& name : names) try_schedule(name);
+  // Snapshot the queue (name order): a successful bind mutates it
+  // mid-sweep.
+  const auto& pending = index_->pending();
+  std::vector<ObjectRef> refs;
+  refs.reserve(pending.size());
+  for (const ObjectId id : pending) refs.push_back(pods_.get(id).meta.ref());
+  for (const ObjectRef ref : refs) try_schedule(ref);
 }
 
 }  // namespace ehpc::k8s

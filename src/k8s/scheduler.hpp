@@ -66,7 +66,7 @@ class KubeScheduler {
   const ClusterIndex& index() const { return *index_; }
 
  private:
-  void try_schedule(const std::string& pod_name);
+  void try_schedule(ObjectRef pod);
   void retry_pending();
   void request_retry();
 

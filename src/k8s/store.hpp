@@ -1,13 +1,17 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <deque>
 #include <functional>
-#include <map>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
+#include "k8s/api.hpp"
 
 namespace ehpc::k8s {
 
@@ -63,7 +67,14 @@ enum class WatchEvent { kAdded, kModified, kDeleted };
 ///     appended and drained by the same flush, after the already-queued
 ///     events; they are not coalesced into earlier positions.
 ///
-/// T must expose an ObjectMeta member named `meta`.
+/// Storage: objects live in an id-indexed arena (`ObjectId`, assigned on
+/// `add`, recycled through a free list on `remove`, so the arena is sized
+/// by the live high-water mark), and a name resolves to its id with one
+/// hash lookup. `list()` still returns objects in name order. The
+/// reference `add`/`get` return stays valid until the object is removed.
+///
+/// T must expose an ObjectMeta member named `meta`. A `mutate` function
+/// must not rename the object.
 template <typename T>
 class ObjectStore {
  public:
@@ -71,91 +82,157 @@ class ObjectStore {
   using View = std::function<void(WatchEvent, const T* before, const T* after)>;
   using FlushRequester = std::function<void()>;
 
-  /// Insert a new object; its name must be unused. Returns the stored copy.
+  ObjectStore() : names_(0, NameHash{this}, NameEq{this}) {}
+  ObjectStore(const ObjectStore&) = delete;
+  ObjectStore& operator=(const ObjectStore&) = delete;
+
+  /// Insert a new object; its name must be unused. Returns the stored copy,
+  /// with `meta.id` and `meta.uid` assigned.
   const T& add(T object) {
     EHPC_EXPECTS(!object.meta.name.empty());
-    EHPC_EXPECTS(objects_.count(object.meta.name) == 0);
+    EHPC_EXPECTS(!contains(object.meta.name));
+    ObjectId id;
+    if (free_.empty()) {
+      id = static_cast<ObjectId>(slots_.size());
+      EHPC_EXPECTS(id != kNoObject);
+      slots_.emplace_back();
+    } else {
+      id = free_.back();
+      free_.pop_back();
+    }
     object.meta.resource_version = ++version_counter_;
-    auto [it, ok] = objects_.emplace(object.meta.name, std::move(object));
-    EHPC_ENSURES(ok);
-    notify_views(WatchEvent::kAdded, nullptr, &it->second);
-    dispatch(WatchEvent::kAdded, it->second);
-    return it->second;
+    object.meta.uid = object.meta.resource_version;
+    object.meta.id = id;
+    Slot& slot = slots_[id];
+    slot.object = std::move(object);
+    slot.live = true;
+    names_.insert(id);
+    notify_views(WatchEvent::kAdded, nullptr, &slot.object);
+    dispatch(WatchEvent::kAdded, slot.object);
+    return slot.object;
   }
 
-  /// Replace an existing object (matched by name).
+  /// Replace an existing object (matched by name); it keeps its id and uid.
   const T& update(T object) {
-    auto it = objects_.find(object.meta.name);
-    EHPC_EXPECTS(it != objects_.end());
+    Slot& slot = slots_[id_of(object.meta.name)];
     object.meta.resource_version = ++version_counter_;
-    T before = std::move(it->second);
-    it->second = std::move(object);
-    notify_views(WatchEvent::kModified, &before, &it->second);
-    dispatch(WatchEvent::kModified, it->second);
-    return it->second;
+    object.meta.id = slot.object.meta.id;
+    object.meta.uid = slot.object.meta.uid;
+    T before = std::move(slot.object);
+    slot.object = std::move(object);
+    notify_views(WatchEvent::kModified, &before, &slot.object);
+    dispatch(WatchEvent::kModified, slot.object);
+    return slot.object;
   }
 
   /// Mutate an object in place through `fn`; bumps the version and notifies.
   template <typename Fn>
   const T& mutate(const std::string& name, Fn&& fn) {
-    auto it = objects_.find(name);
-    EHPC_EXPECTS(it != objects_.end());
+    return mutate(id_of(name), std::forward<Fn>(fn));
+  }
+
+  template <typename Fn>
+  const T& mutate(ObjectId id, Fn&& fn) {
+    EHPC_EXPECTS(live(id));
+    T& object = slots_[id].object;
     if (views_.empty()) {
-      fn(it->second);
-      it->second.meta.resource_version = ++version_counter_;
+      fn(object);
+      object.meta.resource_version = ++version_counter_;
     } else {
-      T before = it->second;  // pre-image for the views
-      fn(it->second);
-      it->second.meta.resource_version = ++version_counter_;
-      notify_views(WatchEvent::kModified, &before, &it->second);
+      T before = object;  // pre-image for the views
+      fn(object);
+      object.meta.resource_version = ++version_counter_;
+      notify_views(WatchEvent::kModified, &before, &object);
     }
-    dispatch(WatchEvent::kModified, it->second);
-    return it->second;
+    dispatch(WatchEvent::kModified, object);
+    return object;
   }
 
   /// Delete by name. Returns false if absent.
   bool remove(const std::string& name) {
-    auto it = objects_.find(name);
-    if (it == objects_.end()) return false;
-    T object = std::move(it->second);
-    objects_.erase(it);
-    notify_views(WatchEvent::kDeleted, &object, nullptr);
-    dispatch(WatchEvent::kDeleted, object);
+    auto it = names_.find(std::string_view(name));
+    if (it == names_.end()) return false;
+    remove(*it);
     return true;
   }
 
-  bool contains(const std::string& name) const { return objects_.count(name) > 0; }
+  /// Delete a live object by id. Views and watchers are notified while the
+  /// object is already unresolvable by name and id but its slot is not yet
+  /// reusable; the slot is freed once they return.
+  void remove(ObjectId id) {
+    EHPC_EXPECTS(live(id));
+    Slot& slot = slots_[id];
+    names_.erase(id);
+    slot.live = false;
+    notify_views(WatchEvent::kDeleted, &slot.object, nullptr);
+    dispatch(WatchEvent::kDeleted, slot.object);
+    slot.object = T{};
+    free_.push_back(id);
+  }
+
+  bool contains(const std::string& name) const {
+    return names_.find(std::string_view(name)) != names_.end();
+  }
 
   const T& get(const std::string& name) const {
-    auto it = objects_.find(name);
-    EHPC_EXPECTS(it != objects_.end());
-    return it->second;
+    return slots_[id_of(name)].object;
+  }
+
+  const T& get(ObjectId id) const {
+    EHPC_EXPECTS(live(id));
+    return slots_[id].object;
   }
 
   const T* find(const std::string& name) const {
-    auto it = objects_.find(name);
-    return it == objects_.end() ? nullptr : &it->second;
+    auto it = names_.find(std::string_view(name));
+    return it == names_.end() ? nullptr : &slots_[*it].object;
   }
 
-  /// All objects in name order (deterministic iteration).
+  /// The live object with this id, or nullptr.
+  const T* find(ObjectId id) const {
+    return live(id) ? &slots_[id].object : nullptr;
+  }
+
+  /// The incarnation `ref` names, or nullptr once it has been removed.
+  const T* find(ObjectRef ref) const {
+    const T* object = find(ref.id);
+    return object != nullptr && object->meta.uid == ref.uid ? object : nullptr;
+  }
+
+  /// Id of the live object named `name`, or kNoObject.
+  ObjectId find_id(const std::string& name) const {
+    auto it = names_.find(std::string_view(name));
+    return it == names_.end() ? kNoObject : *it;
+  }
+
+  /// Name order on ids: for live ids, and for the id of an object whose
+  /// `kDeleted` notification is running.
+  bool name_less(ObjectId a, ObjectId b) const {
+    return slots_[a].object.meta.name < slots_[b].object.meta.name;
+  }
+
+  /// All objects in name order (deterministic iteration). Sorts: O(n log n).
   std::vector<const T*> list() const {
-    std::vector<const T*> out;
-    out.reserve(objects_.size());
-    for (const auto& [name, obj] : objects_) out.push_back(&obj);
-    return out;
+    return list_where([](const T&) { return true; });
   }
 
-  /// Objects satisfying a predicate.
+  /// Objects satisfying a predicate, in name order.
   template <typename Pred>
   std::vector<const T*> list_where(Pred&& pred) const {
     std::vector<const T*> out;
-    for (const auto& [name, obj] : objects_) {
-      if (pred(obj)) out.push_back(&obj);
+    for (const Slot& slot : slots_) {
+      if (slot.live && pred(slot.object)) out.push_back(&slot.object);
     }
+    std::sort(out.begin(), out.end(), [](const T* a, const T* b) {
+      return a->meta.name < b->meta.name;
+    });
     return out;
   }
 
-  std::size_t size() const { return objects_.size(); }
+  std::size_t size() const { return names_.size(); }
+
+  /// Arena slots ever allocated (live + free): the live high-water mark.
+  std::size_t capacity() const { return slots_.size(); }
 
   /// Register a watcher. Immediate mode: fires synchronously for every
   /// subsequent mutation. Batched mode: receives events enqueued from now
@@ -210,8 +287,8 @@ class ObjectStore {
         if (i >= watchers_[w].registered_at) watchers_[w].fn(event, snapshot);
       }
     }
+    for (const LogEntry& entry : log_) open_run_[entry.id] = 0;
     log_.clear();
-    coalesce_.clear();
     for (auto& w : watchers_) w.registered_at = 0;
     flushing_ = false;
     for (std::size_t i = 0; i < batch_observers_.size(); ++i) {
@@ -228,8 +305,43 @@ class ObjectStore {
   };
   struct LogEntry {
     WatchEvent event;
+    ObjectId id;
     T snapshot;
   };
+  struct Slot {
+    T object;
+    bool live = false;
+  };
+  /// The name index hashes and compares ids through their objects' names,
+  /// and looks names up without building a key (transparent lookup).
+  struct NameHash {
+    using is_transparent = void;
+    const ObjectStore* store;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+    std::size_t operator()(ObjectId id) const {
+      return (*this)(std::string_view(store->slots_[id].object.meta.name));
+    }
+  };
+  struct NameEq {
+    using is_transparent = void;
+    const ObjectStore* store;
+    std::string_view name(ObjectId id) const {
+      return store->slots_[id].object.meta.name;
+    }
+    bool operator()(ObjectId a, ObjectId b) const { return a == b; }
+    bool operator()(std::string_view a, ObjectId b) const { return a == name(b); }
+    bool operator()(ObjectId a, std::string_view b) const { return name(a) == b; }
+  };
+
+  bool live(ObjectId id) const { return id < slots_.size() && slots_[id].live; }
+
+  ObjectId id_of(const std::string& name) const {
+    auto it = names_.find(std::string_view(name));
+    EHPC_EXPECTS(it != names_.end());
+    return *it;
+  }
 
   void notify_views(WatchEvent event, const T* before, const T* after) {
     for (std::size_t i = 0; i < views_.size(); ++i) {
@@ -247,32 +359,39 @@ class ObjectStore {
       }
       return;
     }
-    const std::string& name = object.meta.name;
+    const ObjectId id = object.meta.id;
+    if (open_run_.size() < slots_.size()) open_run_.resize(slots_.size(), 0);
     if (event == WatchEvent::kModified && !flushing_) {
-      if (auto it = coalesce_.find(name); it != coalesce_.end()) {
-        log_[it->second].snapshot = object;  // fold the run: final state wins
+      if (open_run_[id] != 0) {
+        // Fold the run: final state wins.
+        log_[open_run_[id] - 1].snapshot = object;
         return;
       }
-      coalesce_[name] = log_.size();
+      open_run_[id] = log_.size() + 1;
     } else {
       // An Added/Deleted edge ends any coalescible Modified run for this
       // object; mid-flush events append without coalescing (earlier queue
-      // positions may already be delivered).
-      coalesce_.erase(name);
+      // positions may already be delivered). Ids are per incarnation, and
+      // every incarnation ends with a Deleted edge, so a reused id never
+      // inherits a run.
+      open_run_[id] = 0;
     }
-    log_.push_back({event, object});
+    log_.push_back({event, id, object});
     if (!flush_requested_ && !flushing_) {
       flush_requested_ = true;
       request_flush_();
     }
   }
 
-  std::map<std::string, T> objects_;
+  std::deque<Slot> slots_;  ///< arena; deque: references survive growth
+  std::vector<ObjectId> free_;
+  std::unordered_set<ObjectId, NameHash, NameEq> names_;  ///< live ids
   std::vector<WatcherEntry> watchers_;
   std::vector<View> views_;
   std::vector<std::function<void()>> batch_observers_;
   std::vector<LogEntry> log_;
-  std::map<std::string, std::size_t> coalesce_;  ///< open Modified runs
+  /// Open Modified runs: 1 + queue position of the run, by id (0 = none).
+  std::vector<std::size_t> open_run_;
   FlushRequester request_flush_;
   bool batched_ = false;
   bool flush_requested_ = false;

@@ -2,8 +2,8 @@
 
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "k8s/cluster.hpp"
 #include "k8s/store.hpp"
@@ -42,17 +42,18 @@ class CharmJobController {
 
  private:
   void reconcile(const std::string& job_name);
-  void update_readiness(const std::string& job_name);
+  void update_readiness(const CharmJob& job);
   std::string pod_name(const std::string& job_name, int rank) const;
 
   k8s::Cluster& cluster_;
   k8s::ObjectStore<CharmJob>& jobs_;
   ControllerConfig config_;
   std::map<std::string, std::vector<ReadyCallback>> ready_waiters_;
-  /// Jobs with a readiness check already queued for the current tick — pod
-  /// events arriving on one tick fold into a single check (idempotent at a
-  /// fixed virtual time, so this is behavior-identical and O(distinct jobs)).
-  std::set<std::string> readiness_check_pending_;
+  /// By CharmJob id: a readiness check is already queued for the current
+  /// tick — pod events arriving on one tick fold into a single check
+  /// (idempotent at a fixed virtual time, so this is behavior-identical and
+  /// O(distinct jobs)).
+  std::vector<bool> readiness_check_pending_;
   int reconcile_count_ = 0;
 };
 

@@ -207,21 +207,17 @@ class ClusterExperiment::Harness final : public schedsim::ExecHarness {
                        const std::vector<JobId>& victims) override {
     for (JobId id : victims) {
       schedsim::JobExec& exec = this->exec(id);
-      const auto& owned =
-          owner_.cluster_.index().pods_with_label("job", exec.job_name);
-      // Copy the names: delete_pod mutates the store, which rewrites the
-      // index sets.
-      const std::vector<std::string> names(owned.begin(), owned.end());
-      for (const std::string& name : names) {
-        const k8s::Pod* pod = owner_.cluster_.pods().find(name);
-        if (pod == nullptr || pod->phase == k8s::PodPhase::kTerminating) {
+      // Copy the ids: delete_pod mutates the store, which rewrites the index.
+      const std::vector<k8s::ObjectId> owned =
+          owner_.cluster_.index().pods_with_label(k8s::kJobLabel,
+                                                  exec.job_name);
+      for (const k8s::ObjectId pod_id : owned) {
+        const k8s::Pod& pod = owner_.cluster_.pods().get(pod_id);
+        auto role = pod.meta.labels.find("role");
+        if (role == pod.meta.labels.end() || role->second != "worker") {
           continue;
         }
-        auto role = pod->meta.labels.find("role");
-        if (role == pod->meta.labels.end() || role->second != "worker") {
-          continue;
-        }
-        owner_.cluster_.delete_pod(name);
+        owner_.cluster_.delete_pod(pod_id);  // no-op once terminating
       }
     }
     EHPC_DEBUG("opk", "domain %d crash deleted the pods of %zu jobs at t=%.1f",

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "k8s/cluster.hpp"
 
 namespace ehpc::k8s {
@@ -100,6 +104,71 @@ TEST(KubeScheduler, ScheduledCountAccumulates) {
   c.create_pod(worker("p1"));
   c.sim().run();
   EXPECT_EQ(c.scheduler().scheduled_count(), 2);
+}
+
+// Placement ties and the retry queue follow name order, which differs from
+// numeric and creation order ("node-10" < "node-9").
+
+TEST(KubeScheduler, TieBreakIsNameOrderNotNumericOrder) {
+  Cluster c;
+  c.add_nodes("node", 11, {16, 32768});
+  for (int i = 0; i <= 8; ++i) {
+    c.nodes().mutate("node-" + std::to_string(i),
+                     [](Node& n) { n.ready = false; });
+  }
+  // node-9 and node-10 tie (both idle); node-10 is first in name order.
+  EXPECT_EQ(c.scheduler().pick_node(worker("p")), "node-10");
+}
+
+TEST(KubeScheduler, TieBreakSeesLaterBatchWithSmallerPrefix) {
+  for (const auto strategy :
+       {PlacementStrategy::kBinPack, PlacementStrategy::kSpread}) {
+    ClusterConfig cfg;
+    cfg.scheduler.strategy = strategy;
+    Cluster c(cfg);
+    c.add_nodes("node", 3, {16, 32768});
+    c.add_nodes("edge", 2, {16, 32768});
+    EXPECT_EQ(c.scheduler().pick_node(worker("p")), "edge-0");
+  }
+}
+
+TEST(KubeScheduler, TieBreakAfterReadinessFlip) {
+  Cluster c;
+  c.add_nodes("node", 12, {16, 32768});
+  c.nodes().mutate("node-0", [](Node& n) { n.ready = false; });
+  c.nodes().mutate("node-1", [](Node& n) { n.ready = false; });
+  EXPECT_EQ(c.scheduler().pick_node(worker("p")), "node-10");
+  c.nodes().mutate("node-1", [](Node& n) { n.ready = true; });
+  EXPECT_EQ(c.scheduler().pick_node(worker("p")), "node-1");
+  c.nodes().mutate("node-0", [](Node& n) { n.ready = true; });
+  EXPECT_EQ(c.scheduler().pick_node(worker("p")), "node-0");
+}
+
+TEST(KubeScheduler, RetryBindsPendingPodsInNameOrder) {
+  Cluster c;
+  c.add_nodes("node", 1, {1, 32768});
+  c.create_pod(worker("blocker"));
+  c.sim().run();
+  // Created in numeric order; name order is p-10, p-2, p-9.
+  for (const char* name : {"p-2", "p-9", "p-10"}) c.create_pod(worker(name));
+  c.sim().run();
+  for (const char* name : {"p-2", "p-9", "p-10"}) {
+    ASSERT_EQ(c.pods().get(name).phase, PodPhase::kPending) << name;
+  }
+  // Each freed slot goes to the first pending pod in name order.
+  std::vector<std::string> bound;
+  for (const char* freed : {"blocker", "p-10", "p-2"}) {
+    c.delete_pod(freed);
+    c.sim().run();
+    for (const char* name : {"p-2", "p-9", "p-10"}) {
+      const Pod* pod = c.pods().find(name);
+      if (pod != nullptr && pod->phase == PodPhase::kRunning &&
+          std::find(bound.begin(), bound.end(), name) == bound.end()) {
+        bound.push_back(name);
+      }
+    }
+  }
+  EXPECT_EQ(bound, (std::vector<std::string>{"p-10", "p-2", "p-9"}));
 }
 
 }  // namespace

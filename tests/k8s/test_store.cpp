@@ -55,6 +55,35 @@ TEST(ObjectStore, RemoveNotifiesWithFinalState) {
   EXPECT_FALSE(store.contains("a"));
 }
 
+TEST(ObjectStore, IdsAreRecycledButRefsNameOneIncarnation) {
+  ObjectStore<Pod> store;
+  const ObjectRef a = store.add(make_pod("a")).meta.ref();
+  EXPECT_EQ(store.find_id("a"), a.id);
+  EXPECT_EQ(store.find(a), &store.get("a"));
+  ASSERT_TRUE(store.remove("a"));
+  EXPECT_EQ(store.find(a), nullptr);
+  EXPECT_EQ(store.find(a.id), nullptr);
+  EXPECT_EQ(store.find_id("a"), kNoObject);
+
+  // A new object takes the freed slot; the old ref stays stale, and so
+  // does it after the old name comes back.
+  const ObjectRef b = store.add(make_pod("b")).meta.ref();
+  EXPECT_EQ(b.id, a.id);
+  EXPECT_NE(b.uid, a.uid);
+  EXPECT_EQ(store.find(a), nullptr);
+  EXPECT_EQ(store.find(b)->meta.name, "b");
+  const ObjectRef a2 = store.add(make_pod("a")).meta.ref();
+  EXPECT_EQ(store.find(a), nullptr);
+  EXPECT_EQ(store.find(a2)->meta.name, "a");
+  EXPECT_EQ(store.capacity(), 2u);
+
+  // update keeps the incarnation.
+  Pod replacement = make_pod("a");
+  replacement.phase = PodPhase::kRunning;
+  store.update(replacement);
+  EXPECT_EQ(store.find(a2)->phase, PodPhase::kRunning);
+}
+
 TEST(ObjectStore, WatchersFireInRegistrationOrder) {
   ObjectStore<Pod> store;
   std::vector<int> order;

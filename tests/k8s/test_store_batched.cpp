@@ -115,6 +115,30 @@ TEST(BatchedStore, LifecycleEdgesEndModifiedRuns) {
                                        PodPhase::kScheduled));
 }
 
+TEST(BatchedStore, ReusedIdStartsAFreshRun) {
+  Fixture f;
+  const ObjectId id = f.store.add(make_pod("a")).meta.id;
+  f.store.flush();
+  f.seen.clear();
+
+  // "b" takes the id "a" freed inside the window; its Modified must not
+  // fold into the run "a" opened under that id.
+  f.store.mutate("a", [](Pod& p) { p.phase = PodPhase::kRunning; });
+  f.store.remove("a");
+  ASSERT_EQ(f.store.add(make_pod("b")).meta.id, id);
+  f.store.mutate("b", [](Pod& p) { p.phase = PodPhase::kScheduled; });
+  f.store.mutate("b", [](Pod& p) { p.phase = PodPhase::kRunning; });
+
+  f.store.flush();
+  ASSERT_EQ(f.seen.size(), 4u);
+  EXPECT_EQ(f.seen[0], std::make_tuple(WatchEvent::kModified, std::string("a"),
+                                       PodPhase::kRunning));
+  EXPECT_EQ(std::get<0>(f.seen[1]), WatchEvent::kDeleted);
+  EXPECT_EQ(std::get<0>(f.seen[2]), WatchEvent::kAdded);
+  EXPECT_EQ(f.seen[3], std::make_tuple(WatchEvent::kModified, std::string("b"),
+                                       PodPhase::kRunning));
+}
+
 TEST(BatchedStore, MidWindowWatcherSeesOnlyLaterEvents) {
   Fixture f;
   f.store.mutate(f.store.add(make_pod("early")).meta.name,

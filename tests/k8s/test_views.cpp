@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,21 @@ std::string reference_best_node(const ObjectStore<Node>& nodes,
   return best;
 }
 
+/// Pod names of `ids`, in the order given.
+template <typename Ids>
+std::vector<std::string> names_of(const ObjectStore<Pod>& pods,
+                                  const Ids& ids) {
+  std::vector<std::string> names;
+  for (const ObjectId id : ids) names.push_back(pods.get(id).meta.name);
+  return names;
+}
+
+/// The sorted contents of a name set, for comparison with an index result
+/// that must come out in name order.
+std::vector<std::string> sorted(const std::set<std::string>& names) {
+  return {names.begin(), names.end()};
+}
+
 struct Battery {
   ObjectStore<Node> nodes;
   ObjectStore<Pod> pods;
@@ -108,7 +124,11 @@ struct Battery {
       for (const Pod* pod : pods.list()) {
         if (pod->phase == phase) expect.insert(pod->meta.name);
       }
-      ASSERT_EQ(index.pods_in_phase(phase), expect) << to_string(phase);
+      ASSERT_EQ(names_of(pods, index.pods_in_phase(phase)), sorted(expect))
+          << to_string(phase);
+      if (phase == PodPhase::kPending) {
+        ASSERT_EQ(names_of(pods, index.pending()), sorted(expect));
+      }
     }
 
     for (int j = 0; j < 3; ++j) {
@@ -120,7 +140,9 @@ struct Battery {
           expect.insert(pod->meta.name);
         }
       }
-      ASSERT_EQ(index.pods_with_label("job", value), expect) << value;
+      ASSERT_EQ(names_of(pods, index.pods_with_label("job", value)),
+                sorted(expect))
+          << value;
     }
   }
 
@@ -148,15 +170,24 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
   ClusterIndex index(b.nodes, b.pods);
   Rng rng(20250807);
   int pod_counter = 0;
+  int recreated = 0;
+  std::vector<std::string> removed_pods;
+  // Two prefixes and two-digit suffixes: name order differs from numeric
+  // and creation order ("b-7" < "node-10" < "node-9"), and a removed node
+  // is often re-created under its old name.
+  const auto random_node_name = [&rng] {
+    const std::string prefix = rng.uniform_int(0, 1) == 0 ? "node-" : "b-";
+    return prefix + std::to_string(rng.uniform_int(0, 11));
+  };
 
   for (int step = 0; step < 600; ++step) {
-    const int op = static_cast<int>(rng.uniform_int(0, 9));
+    const int op = static_cast<int>(rng.uniform_int(0, 10));
     const auto node_names = b.nodes.list();
     const auto pod_names = b.pods.list();
     switch (op) {
       case 0: {  // add a node
         Node node;
-        node.meta.name = "node-" + std::to_string(rng.uniform_int(0, 11));
+        node.meta.name = random_node_name();
         if (b.nodes.contains(node.meta.name)) break;
         node.capacity = {static_cast<int>(rng.uniform_int(2, 8)), 4096};
         node.ready = rng.uniform_int(0, 3) > 0;
@@ -179,9 +210,16 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
         break;
       }
       case 3:
-      case 4: {  // create a pod, sometimes labeled/affine
+      case 4: {  // create a pod, sometimes labeled/affine, sometimes under
+                 // the name of a removed pod
         Pod pod;
-        pod.meta.name = "pod-" + std::to_string(pod_counter++);
+        if (!removed_pods.empty() && rng.uniform_int(0, 2) == 0) {
+          pod.meta.name = removed_pods.back();
+          removed_pods.pop_back();
+          ++recreated;
+        } else {
+          pod.meta.name = "pod-" + std::to_string(pod_counter++);
+        }
         pod.request = {static_cast<int>(rng.uniform_int(0, 3)), 256};
         if (rng.uniform_int(0, 2) > 0) {
           pod.meta.labels["job"] =
@@ -197,8 +235,7 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
             pod_names[static_cast<std::size_t>(rng.uniform_int(
                 0, static_cast<int>(pod_names.size()) - 1))];
         if (!pod->node_name.empty()) break;
-        const std::string target =
-            "node-" + std::to_string(rng.uniform_int(0, 11));
+        const std::string target = random_node_name();
         b.pods.mutate(pod->meta.name, [&](Pod& p) {
           p.node_name = target;
           p.phase = PodPhase::kScheduled;
@@ -216,9 +253,24 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
       }
       case 8: {  // delete a pod
         if (pod_names.empty()) break;
-        b.pods.remove(
+        const std::string name =
             pod_names[static_cast<std::size_t>(rng.uniform_int(
-                0, static_cast<int>(pod_names.size()) - 1))]->meta.name);
+                0, static_cast<int>(pod_names.size()) - 1))]->meta.name;
+        b.pods.remove(name);
+        removed_pods.push_back(name);
+        break;
+      }
+      case 9: {  // relabel a pod: another job, or none
+        if (pod_names.empty()) break;
+        Pod pod = *pod_names[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<int>(pod_names.size()) - 1))];
+        const auto job = rng.uniform_int(0, 3);
+        if (job == 3) {
+          pod.meta.labels.erase("job");
+        } else {
+          pod.meta.labels["job"] = "job-" + std::to_string(job);
+        }
+        b.pods.update(pod);
         break;
       }
       default: {  // update a node's capacity wholesale
@@ -233,8 +285,9 @@ TEST(ClusterIndex, MatchesBruteForceUnderRandomMutations) {
     ASSERT_NO_FATAL_FAILURE(b.check(index)) << "step " << step;
     ASSERT_NO_FATAL_FAILURE(b.check_placement(index, rng)) << "step " << step;
   }
-  // The battery must actually have exercised placement.
+  // The battery must actually have exercised placement and re-creation.
   EXPECT_GT(index.stats().placement_queries, 0);
+  EXPECT_GT(recreated, 0);
 }
 
 TEST(ClusterIndex, BootstrapsFromNonEmptyStores) {
@@ -259,6 +312,60 @@ TEST(ClusterIndex, BootstrapsFromNonEmptyStores) {
   EXPECT_EQ(index.used_on("node-0").cpus, 4);
   EXPECT_EQ(index.colocated("node-0", "job", "job-1"), 1);
   b.check(index);
+}
+
+TEST(ClusterIndex, NodeRanksKeepNameOrderWhenRenumbered) {
+  // Nodes arrive in descending name order, so each one takes half the rank
+  // of the previous first node; the ranks run out and are renumbered
+  // twice. Placement must match the name-ordered scan throughout.
+  Battery b;
+  ClusterIndex index(b.nodes, b.pods);
+  Rng rng(7);
+  for (int i = 79; i >= 0; --i) {
+    Node node;
+    node.meta.name = "n-" + std::to_string(1000 + i);
+    node.capacity = {4, 4096};
+    b.nodes.add(node);
+    Pod pod;
+    pod.meta.name = "on-" + node.meta.name;
+    pod.request = {static_cast<int>(rng.uniform_int(0, 3)), 256};
+    pod.meta.labels["job"] = "job-" + std::to_string(rng.uniform_int(0, 2));
+    pod.node_name = node.meta.name;
+    pod.phase = PodPhase::kRunning;
+    b.pods.add(pod);
+    ASSERT_NO_FATAL_FAILURE(b.check(index)) << node.meta.name;
+    ASSERT_NO_FATAL_FAILURE(b.check_placement(index, rng)) << node.meta.name;
+  }
+}
+
+TEST(ClusterIndex, AffinityTieBreakIsNameOrder) {
+  // node-9 and node-10 each host one pod of job-1 and are equally full:
+  // the affinity scores tie, and node-10 is first in name order.
+  Battery b;
+  for (const char* name : {"node-9", "node-10"}) {
+    Node node;
+    node.meta.name = name;
+    node.capacity = {16, 32768};
+    b.nodes.add(node);
+  }
+  ClusterIndex index(b.nodes, b.pods);
+  for (const char* name : {"node-9", "node-10"}) {
+    Pod pod;
+    pod.meta.name = std::string("on-") + name;
+    pod.meta.labels["job"] = "job-1";
+    pod.node_name = name;
+    pod.phase = PodPhase::kRunning;
+    b.pods.add(pod);
+  }
+  Pod probe;
+  probe.meta.name = "probe";
+  probe.affinity_key = "job";
+  probe.affinity_value = "job-1";
+  for (const bool packed : {false, true}) {
+    EXPECT_EQ(index.best_node(probe, packed, 0.5), "node-10");
+    EXPECT_EQ(reference_best_node(b.nodes, b.pods, probe, packed, 0.5),
+              "node-10");
+  }
 }
 
 TEST(ClusterIndex, PlacementCostIsSubLinearInNodes) {

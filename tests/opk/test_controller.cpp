@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 namespace ehpc::opk {
 namespace {
 
@@ -59,6 +63,46 @@ TEST(CharmJobController, NodelistSortedAndComplete) {
   ASSERT_EQ(nodelist.size(), 4u);
   EXPECT_TRUE(std::is_sorted(nodelist.begin(), nodelist.end()));
   EXPECT_EQ(nodelist[0], "j1-worker-0");
+}
+
+/// Worker pod names of ranks [0, replicas), in name order: "w-10" sorts
+/// before "w-2".
+std::vector<std::string> workers_in_name_order(const std::string& job,
+                                               int replicas) {
+  std::vector<std::string> names;
+  for (int r = 0; r < replicas; ++r) {
+    names.push_back(job + "-worker-" + std::to_string(r));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(CharmJobController, NodelistIsNameOrderPastTenRanks) {
+  Fixture f;
+  f.jobs.add(f.make_job("j1", 12));
+  f.cluster.sim().run();
+  const auto& nodelist = f.jobs.get("j1").nodelist;
+  EXPECT_EQ(nodelist, workers_in_name_order("j1", 12));
+  ASSERT_GE(nodelist.size(), 3u);
+  EXPECT_EQ(nodelist[2], "j1-worker-10");
+}
+
+TEST(CharmJobController, TeardownDeletesPodsInNameOrder) {
+  Fixture f;
+  f.jobs.add(f.make_job("j1", 12));
+  f.cluster.sim().run();
+  std::vector<std::string> terminated;
+  f.cluster.pods().watch([&](k8s::WatchEvent event, const k8s::Pod& pod) {
+    if (event == k8s::WatchEvent::kModified &&
+        pod.phase == k8s::PodPhase::kTerminating) {
+      terminated.push_back(pod.meta.name);
+    }
+  });
+  f.jobs.mutate("j1", [](CharmJob& j) { j.phase = CharmJobPhase::kCompleted; });
+  f.cluster.sim().run();
+  std::vector<std::string> expect = workers_in_name_order("j1", 12);
+  expect.insert(expect.begin(), "j1-launcher");  // 'l' < 'w'
+  EXPECT_EQ(terminated, expect);
 }
 
 TEST(CharmJobController, WhenReadyFiresAfterAllRunning) {
