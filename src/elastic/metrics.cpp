@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "common/stats.hpp"
 
 namespace ehpc::elastic {
 
@@ -11,30 +10,36 @@ MetricsCollector::MetricsCollector(int total_slots) : total_slots_(total_slots) 
   EHPC_EXPECTS(total_slots_ > 0);
 }
 
-void MetricsCollector::enable_streaming() {
-  EHPC_EXPECTS(jobs_.empty() && usage_.empty() && n_jobs_ == 0 && !have_usage_);
-  streaming_ = true;
-}
-
 void MetricsCollector::note_submit(double t) {
-  if (!streaming_) return;
-  if (!have_first_submit_ || t < first_submit_) {
+  if (!have_first_submit_) {
     first_submit_ = t;
     have_first_submit_ = true;
+  }
+  EHPC_EXPECTS(t >= first_submit_);
+}
+
+void MetricsCollector::note_complete(double t) {
+  EHPC_EXPECTS(have_first_submit_ && t >= first_submit_);
+  EHPC_EXPECTS(n_completed_ == 0 || t >= last_complete_);
+  ++n_completed_;
+  last_complete_ = t;
+  // Snapshot the usage integral up to this completion. Events arrive in
+  // virtual-time order, so every recorded usage step is at t or before and
+  // extending the current level to t is exact.
+  if (have_usage_) {
+    const double tail_start = std::max(last_usage_t_, first_submit_);
+    window_integral_ =
+        integral_ + (t > tail_start ? last_used_ * (t - tail_start) : 0.0);
   }
 }
 
 void MetricsCollector::add_job(const JobRecord& record) {
   EHPC_EXPECTS(record.start_time >= record.submit_time);
   EHPC_EXPECTS(record.complete_time >= record.start_time);
-  if (!streaming_) {
-    jobs_.push_back(record);
-    return;
-  }
-  note_submit(record.submit_time);
-  last_complete_ =
-      n_jobs_ == 0 ? record.complete_time
-                   : std::max(last_complete_, record.complete_time);
+  // The record's submission and completion must already have been noted.
+  EHPC_EXPECTS(have_first_submit_ && record.submit_time >= first_submit_);
+  EHPC_EXPECTS(n_jobs_ < n_completed_ &&
+               record.complete_time <= last_complete_);
   ++n_jobs_;
   response_.add(record.response_time(), static_cast<double>(record.priority));
   completion_.add(record.completion_time(),
@@ -45,25 +50,10 @@ void MetricsCollector::add_job(const JobRecord& record) {
   recovery_sum_ += record.recovery_s;
   lost_sum_ += record.lost_work_s;
   goodput_sum_ += record.goodput();
-  // Snapshot the usage integral up to the new last completion. By event
-  // ordering every recorded usage step is at t <= this completion time, so
-  // extending the current level to `last_complete_` is exact.
-  if (have_usage_) {
-    const double tail_start = std::max(last_usage_t_, first_submit_);
-    window_integral_ =
-        integral_ +
-        (last_complete_ > tail_start ? last_used_ * (last_complete_ - tail_start)
-                                     : 0.0);
-  }
 }
 
 void MetricsCollector::record_usage(double t, int used) {
   EHPC_EXPECTS(used >= 0 && used <= total_slots_);
-  if (!streaming_) {
-    EHPC_EXPECTS(usage_.empty() || t >= usage_.back().first);
-    usage_.emplace_back(t, static_cast<double>(used));
-    return;
-  }
   EHPC_EXPECTS(!have_usage_ || t >= last_usage_t_);
   if (have_usage_ && have_first_submit_) {
     const double start = std::max(last_usage_t_, first_submit_);
@@ -109,120 +99,33 @@ RunMetrics MetricsCollector::compute() const {
   m.storm_peak_restorers = static_cast<double>(peak_restorers_);
   m.storm_delay_s = storm_delay_sum_;
 
-  if (streaming_) {
-    EHPC_EXPECTS(n_jobs_ > 0);
-    m.total_time_s = last_complete_ - first_submit_;
-    m.weighted_response_s = response_.value();
-    m.weighted_completion_s = completion_.value();
-    if (have_usage_ && last_complete_ > first_submit_) {
-      m.utilization =
-          window_integral_ / (last_complete_ - first_submit_) / total_slots_;
-    }
-    const double n = static_cast<double>(n_jobs_);
-    m.jobs_failed = static_cast<double>(failed_count_);
-    m.jobs_abandoned = static_cast<double>(abandoned_count_);
-    m.jobs_timed_out = static_cast<double>(timed_out_count_);
-    m.recovery_time_s = recovery_sum_ / n;
-    m.lost_work_s = lost_sum_ / n;
-    m.goodput = goodput_sum_ / n;
-    return m;
-  }
-
-  EHPC_EXPECTS(!jobs_.empty());
-  double first_submit = jobs_.front().submit_time;
-  double last_complete = jobs_.front().complete_time;
-  WeightedMean response;
-  WeightedMean completion;
-  for (const auto& j : jobs_) {
-    first_submit = std::min(first_submit, j.submit_time);
-    last_complete = std::max(last_complete, j.complete_time);
-    response.add(j.response_time(), static_cast<double>(j.priority));
-    completion.add(j.completion_time(), static_cast<double>(j.priority));
-  }
-  m.total_time_s = last_complete - first_submit;
-  m.weighted_response_s = response.value();
-  m.weighted_completion_s = completion.value();
-
-  if (!usage_.empty() && last_complete > first_submit) {
-    // Restrict the trace to the experiment window.
-    std::vector<std::pair<double, double>> window;
-    double current = 0.0;
-    for (const auto& [t, used] : usage_) {
-      if (t <= first_submit) {
-        current = used;
-      } else if (t <= last_complete) {
-        if (window.empty()) window.emplace_back(first_submit, current);
-        window.emplace_back(t, used);
-      }
-    }
-    if (window.empty()) window.emplace_back(first_submit, current);
+  EHPC_EXPECTS(n_jobs_ > 0);
+  m.total_time_s = last_complete_ - first_submit_;
+  m.weighted_response_s = response_.value();
+  m.weighted_completion_s = completion_.value();
+  if (have_usage_ && last_complete_ > first_submit_) {
     m.utilization =
-        time_weighted_average(window, last_complete) / total_slots_;
+        window_integral_ / (last_complete_ - first_submit_) / total_slots_;
   }
-
-  std::vector<double> recovery;
-  std::vector<double> lost;
-  std::vector<double> goodput;
-  for (const auto& j : jobs_) {
-    if (j.failed) m.jobs_failed += 1.0;
-    if (j.abandoned) m.jobs_abandoned += 1.0;
-    if (j.timed_out) m.jobs_timed_out += 1.0;
-    recovery.push_back(j.recovery_s);
-    lost.push_back(j.lost_work_s);
-    goodput.push_back(j.goodput());
-  }
-  // jobs_ is non-empty (checked above); mean_of throws on empty input, and
-  // keeping these vectors unconditional keeps that contract visible here.
-  m.recovery_time_s = mean_of(recovery);
-  m.lost_work_s = mean_of(lost);
-  m.goodput = mean_of(goodput);
+  const double n = static_cast<double>(n_jobs_);
+  m.jobs_failed = static_cast<double>(failed_count_);
+  m.jobs_abandoned = static_cast<double>(abandoned_count_);
+  m.jobs_timed_out = static_cast<double>(timed_out_count_);
+  m.recovery_time_s = recovery_sum_ / n;
+  m.lost_work_s = lost_sum_ / n;
+  m.goodput = goodput_sum_ / n;
   return m;
 }
 
 RunMetrics average_metrics(const std::vector<RunMetrics>& runs) {
   EHPC_EXPECTS(!runs.empty());
-  RunMetrics avg;
-  avg.lb_post_ratio = 0.0;
-  avg.goodput = 0.0;
-  for (const auto& r : runs) {
-    avg.total_time_s += r.total_time_s;
-    avg.utilization += r.utilization;
-    avg.weighted_response_s += r.weighted_response_s;
-    avg.weighted_completion_s += r.weighted_completion_s;
-    avg.lb_post_ratio += r.lb_post_ratio;
-    avg.lb_migrations_per_step += r.lb_migrations_per_step;
-    avg.lb_steps += r.lb_steps;
-    avg.failures += r.failures;
-    avg.evictions += r.evictions;
-    avg.correlated_failures += r.correlated_failures;
-    avg.storm_peak_restorers += r.storm_peak_restorers;
-    avg.storm_delay_s += r.storm_delay_s;
-    avg.jobs_failed += r.jobs_failed;
-    avg.jobs_abandoned += r.jobs_abandoned;
-    avg.jobs_timed_out += r.jobs_timed_out;
-    avg.recovery_time_s += r.recovery_time_s;
-    avg.lost_work_s += r.lost_work_s;
-    avg.goodput += r.goodput;
-  }
   const double n = static_cast<double>(runs.size());
-  avg.total_time_s /= n;
-  avg.utilization /= n;
-  avg.weighted_response_s /= n;
-  avg.weighted_completion_s /= n;
-  avg.lb_post_ratio /= n;
-  avg.lb_migrations_per_step /= n;
-  avg.lb_steps /= n;
-  avg.failures /= n;
-  avg.evictions /= n;
-  avg.correlated_failures /= n;
-  avg.storm_peak_restorers /= n;
-  avg.storm_delay_s /= n;
-  avg.jobs_failed /= n;
-  avg.jobs_abandoned /= n;
-  avg.jobs_timed_out /= n;
-  avg.recovery_time_s /= n;
-  avg.lost_work_s /= n;
-  avg.goodput /= n;
+  RunMetrics avg;
+  for (const RunMetricsField& field : kRunMetricsFields) {
+    double sum = 0.0;
+    for (const RunMetrics& r : runs) sum += r.*field.member;
+    avg.*field.member = sum / n;
+  }
   return avg;
 }
 

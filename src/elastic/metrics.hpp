@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -79,34 +80,63 @@ struct RunMetrics {
   double goodput = 1.0;             ///< mean per-job useful-time fraction
 };
 
-/// Accumulates job records and a used-slots step trace, then computes the
-/// run metrics. Used identically by the performance simulator and the
-/// Kubernetes-substrate experiment so "Actual" and "Simulation" columns are
-/// directly comparable.
+/// One RunMetrics field: its name and member pointer.
+struct RunMetricsField {
+  const char* name;
+  double RunMetrics::*member;
+};
+
+/// Every RunMetrics field, in declaration order: averaging and the
+/// determinism tests walk this table, so a new field is one entry here.
+inline constexpr std::array<RunMetricsField, 18> kRunMetricsFields{{
+    {"total_time_s", &RunMetrics::total_time_s},
+    {"utilization", &RunMetrics::utilization},
+    {"weighted_response_s", &RunMetrics::weighted_response_s},
+    {"weighted_completion_s", &RunMetrics::weighted_completion_s},
+    {"lb_post_ratio", &RunMetrics::lb_post_ratio},
+    {"lb_migrations_per_step", &RunMetrics::lb_migrations_per_step},
+    {"lb_steps", &RunMetrics::lb_steps},
+    {"failures", &RunMetrics::failures},
+    {"evictions", &RunMetrics::evictions},
+    {"correlated_failures", &RunMetrics::correlated_failures},
+    {"storm_peak_restorers", &RunMetrics::storm_peak_restorers},
+    {"storm_delay_s", &RunMetrics::storm_delay_s},
+    {"jobs_failed", &RunMetrics::jobs_failed},
+    {"jobs_abandoned", &RunMetrics::jobs_abandoned},
+    {"jobs_timed_out", &RunMetrics::jobs_timed_out},
+    {"recovery_time_s", &RunMetrics::recovery_time_s},
+    {"lost_work_s", &RunMetrics::lost_work_s},
+    {"goodput", &RunMetrics::goodput},
+}};
+static_assert(sizeof(RunMetrics) == kRunMetricsFields.size() * sizeof(double),
+              "every RunMetrics field needs a kRunMetricsFields entry");
+
+/// Folds one run's job records and used-slots step trace into the run
+/// metrics online, retaining nothing: the same O(1) collector serves a
+/// 20-job mix and a million-job streaming replay. Used identically by the
+/// performance simulator and the Kubernetes-substrate experiment so
+/// "Actual" and "Simulation" columns are directly comparable.
 ///
-/// Two accumulation modes:
-///  - batch (default): every JobRecord and usage step is retained, so
-///    callers can inspect per-job records after the run. Memory grows with
-///    trace length.
-///  - streaming (`enable_streaming()` before the first record): records are
-///    folded into O(1) accumulators on arrival and never retained —
-///    required by `ExecHarness::run_stream`, whose memory must stay
-///    proportional to in-flight jobs on million-job traces. Streaming
-///    consumers must call `note_submit(t)` at each submission so the
-///    utilization window opens at the first submit, not the first
-///    completion.
+/// The caller reports events in virtual-time order: `note_submit(t)` at
+/// each submission, `record_usage(t, used)` whenever the busy-slot count
+/// changes, and `note_complete(t)` whenever a job ends (completes, fails,
+/// times out or is abandoned). Utilization is windowed from the first
+/// submission to the last completion, so usage recorded after it (pod
+/// teardown on the cluster) stays out. `add_job` folds a finished record's
+/// sums in the order the caller gives — a fixed order keeps the weighted
+/// means bit-reproducible — and requires that its submission and completion
+/// were already noted.
 class MetricsCollector {
  public:
   explicit MetricsCollector(int total_slots);
 
-  /// Switch to streaming accumulation. Must precede the first record.
-  void enable_streaming();
-  bool streaming() const { return streaming_; }
-
-  /// Tell the collector a job was submitted at `t` (streaming mode only;
-  /// a no-op in batch mode, where submit times come from the records).
+  /// A job was submitted at `t`; the first call opens the window.
   void note_submit(double t);
 
+  /// A job ended at `t`; extends the window to `t`.
+  void note_complete(double t);
+
+  /// Fold one finished job's record into the run's sums.
   void add_job(const JobRecord& record);
 
   /// Record that `used` slots are busy from time `t` onward.
@@ -130,19 +160,8 @@ class MetricsCollector {
 
   RunMetrics compute() const;
 
-  /// Retained per-job records; empty in streaming mode.
-  const std::vector<JobRecord>& jobs() const { return jobs_; }
-  const std::vector<std::pair<double, double>>& usage_steps() const {
-    return usage_;
-  }
-
  private:
   int total_slots_;
-  bool streaming_ = false;
-  std::vector<JobRecord> jobs_;
-  std::vector<std::pair<double, double>> usage_;  // (time, used slots)
-  // LB steps fold into running sums in both modes (same addition order as
-  // the old retained vector, so batch results are bit-identical).
   double lb_ratio_sum_ = 0.0;
   double lb_migration_sum_ = 0.0;
   long lb_count_ = 0;
@@ -152,12 +171,12 @@ class MetricsCollector {
   int peak_restorers_ = 0;
   double storm_delay_sum_ = 0.0;
 
-  // Streaming accumulators (mirror the batch compute() pass, in the same
-  // per-record order, so the two modes agree).
-  long n_jobs_ = 0;
-  double first_submit_ = 0.0;
+  // Window bounds and per-record sums.
   bool have_first_submit_ = false;
+  double first_submit_ = 0.0;
+  long n_completed_ = 0;  // note_complete calls
   double last_complete_ = 0.0;
+  long n_jobs_ = 0;  // add_job calls
   WeightedMean response_;
   WeightedMean completion_;
   double recovery_sum_ = 0.0;
@@ -166,10 +185,8 @@ class MetricsCollector {
   long failed_count_ = 0;
   long abandoned_count_ = 0;
   long timed_out_count_ = 0;
-  // Usage step-function integral over [first_submit_, last event], plus a
-  // snapshot truncated at the latest completion: pod/engine events that
-  // arrive after the last completion must not leak into utilization (the
-  // batch path windows the retained trace the same way).
+  // Usage step-function integral over [first_submit_, last usage step],
+  // plus a snapshot extended to the latest completion: the window value.
   bool have_usage_ = false;
   double last_usage_t_ = 0.0;
   double last_used_ = 0.0;

@@ -102,7 +102,6 @@ SimResult ExecHarness::run_stream(trace::TraceSource& source) {
   EHPC_EXPECTS(!used_);  // single-shot per harness instance
   used_ = true;
   streaming_ = true;
-  collector_->enable_streaming();
   source_ = &source;
 
   std::optional<SubmittedJob> first = source.next();
@@ -248,6 +247,7 @@ void ExecHarness::finish_job(JobId id, JobOutcome outcome) {
   exec.record.failed = outcome == JobOutcome::kFailed;
   exec.record.timed_out = outcome == JobOutcome::kTimedOut;
   exec.record.complete_time = sim_.now();
+  collector_->note_complete(sim_.now());
   if (!exec.started && exec.record.start_time < exec.record.submit_time) {
     // Killed before the substrate reported it started (cluster pods still
     // pending): pin the record's start to the submit so timestamps stay
@@ -280,6 +280,7 @@ void ExecHarness::queue_timeout(JobId id) {
   exec.record.abandoned = true;
   exec.record.start_time = sim_.now();
   exec.record.complete_time = sim_.now();
+  collector_->note_complete(sim_.now());
   EHPC_DEBUG("schedsim", "job %d abandoned after %.1fs in the queue", id,
              exec.queue_timeout_s);
   retire_job(id);

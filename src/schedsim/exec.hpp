@@ -24,7 +24,8 @@ namespace ehpc::schedsim {
 
 /// Compact summary of a streaming replay: counters plus online (P²)
 /// percentiles maintained as jobs retire, since per-job records are not
-/// retained. All zero for batch `run()`.
+/// retained. Batch `run()` sets both counters to the mix size and leaves
+/// the percentiles zero.
 struct StreamStats {
   long jobs_submitted = 0;
   /// High-water mark of simultaneously tracked JobExec entries — the
@@ -233,8 +234,8 @@ class ExecHarness {
   /// How a job's execution ended; drives the record flags in finish_job.
   enum class JobOutcome { kCompleted, kFailed, kTimedOut };
   /// Shared tail of completion, budget-kill and task timeout: cancel
-  /// pending work, stamp the record, notify the substrate, release the
-  /// job's slots.
+  /// pending work, stamp the record and note its completion to the
+  /// collector, notify the substrate, release the job's slots.
   void finish_job(elastic::JobId id, JobOutcome outcome);
   /// Queue-timeout event: abandon the job iff the engine still has it
   /// queued. The guard checks engine state, not `exec.started` — on the

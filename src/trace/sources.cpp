@@ -1,6 +1,7 @@
 #include "trace/sources.hpp"
 
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -11,13 +12,16 @@ namespace ehpc::trace {
 
 namespace {
 
-/// Strict field parsers: the whole field must be consumed, so "12x" or an
-/// empty field is an error instead of atoi's silent 0/12.
+/// Strict field parsers: the whole field must be consumed and the value
+/// must lie in [lo, hi], so "12x", an empty field, NaN or a value that would
+/// narrow on the way into an int is an error naming the line instead of
+/// atoi's silent 0/12 or a later failure deep inside the replay.
 long parse_long(const std::string& field, const std::string& what,
-                const std::string& path, long line) {
+                const std::string& path, long line, long lo, long hi) {
   char* end = nullptr;
   const long value = std::strtol(field.c_str(), &end, 10);
-  if (field.empty() || end != field.c_str() + field.size()) {
+  if (field.empty() || end != field.c_str() + field.size() || value < lo ||
+      value > hi) {
     throw PreconditionError(path + ":" + std::to_string(line) + ": bad " +
                             what + " '" + field + "'");
   }
@@ -25,15 +29,20 @@ long parse_long(const std::string& field, const std::string& what,
 }
 
 double parse_double(const std::string& field, const std::string& what,
-                    const std::string& path, long line) {
+                    const std::string& path, long line, double lo, double hi) {
   char* end = nullptr;
   const double value = std::strtod(field.c_str(), &end);
-  if (field.empty() || end != field.c_str() + field.size()) {
+  if (field.empty() || end != field.c_str() + field.size() ||
+      !(value >= lo && value <= hi)) {
     throw PreconditionError(path + ":" + std::to_string(line) + ": bad " +
                             what + " '" + field + "'");
   }
   return value;
 }
+
+constexpr long kIntMin = std::numeric_limits<int>::min();
+constexpr long kIntMax = std::numeric_limits<int>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -75,7 +84,8 @@ std::optional<schedsim::SubmittedJob> CsvTraceSource::next() {
     }
 
     schedsim::SubmittedJob job;
-    const long id = parse_long(fields[0], "job id", path_, line_number_);
+    const long id =
+        parse_long(fields[0], "job id", path_, line_number_, 0, kIntMax);
     elastic::JobClass cls;
     try {
       cls = elastic::job_class_from_string(fields[1]);
@@ -83,24 +93,26 @@ std::optional<schedsim::SubmittedJob> CsvTraceSource::next() {
       throw PreconditionError(path_ + ":" + std::to_string(line_number_) +
                               ": " + err.what());
     }
-    const long priority = parse_long(fields[2], "priority", path_, line_number_);
+    const long priority =
+        parse_long(fields[2], "priority", path_, line_number_, 0, kIntMax);
     job.spec = elastic::spec_for_class(cls, static_cast<elastic::JobId>(id),
                                        static_cast<int>(priority));
     job.job_class = cls;
-    job.submit_time =
-        parse_double(fields[3], "submit time", path_, line_number_);
+    job.submit_time = parse_double(fields[3], "submit time", path_,
+                                   line_number_, 0.0,
+                                   std::numeric_limits<double>::max());
     job.queue_timeout_s =
-        fields.size() > 4
-            ? parse_double(fields[4], "queue timeout", path_, line_number_)
-            : defaults_.queue_timeout_s;
+        fields.size() > 4 ? parse_double(fields[4], "queue timeout", path_,
+                                         line_number_, -kInf, kInf)
+                          : defaults_.queue_timeout_s;
     job.task_timeout_s =
-        fields.size() > 5
-            ? parse_double(fields[5], "task timeout", path_, line_number_)
-            : defaults_.task_timeout_s;
+        fields.size() > 5 ? parse_double(fields[5], "task timeout", path_,
+                                         line_number_, -kInf, kInf)
+                          : defaults_.task_timeout_s;
     job.max_failed_nodes =
         fields.size() > 6
             ? static_cast<int>(parse_long(fields[6], "max failed nodes", path_,
-                                          line_number_))
+                                          line_number_, kIntMin, kIntMax))
             : defaults_.max_failed_nodes;
 
     if (any_yielded_ && job.submit_time < last_submit_time_) {

@@ -27,6 +27,9 @@ struct JobDefaults {
 /// unknown class, a missing column or a submit time that goes backwards is a
 /// hard error naming the offending line number — never a silent 0 (the bug
 /// the ad-hoc atoi/atof loader in examples/trace_replay.cpp used to have).
+/// So is a value the replay cannot use: an id or priority outside
+/// [0, INT_MAX], a max_failed_nodes outside int, a NaN, infinite or
+/// negative submit time, or a NaN timeout.
 class CsvTraceSource final : public TraceSource {
  public:
   explicit CsvTraceSource(const std::string& path, JobDefaults defaults = {});

@@ -115,6 +115,16 @@ TEST(ClusterExperiment, UtilizationTraceRecorded) {
   auto result = exp.run({job(0, JobClass::kMedium, 3, 0.0)});
   EXPECT_TRUE(result.trace.has("util"));
   EXPECT_TRUE(result.trace.has("job.0.replicas"));
+  // Pod teardown keeps sampling physical usage after the last completion;
+  // utilization averages the trace over the experiment window only.
+  ASSERT_EQ(result.jobs.size(), 1u);
+  const double first_submit = result.jobs[0].submit_time;
+  const double last_complete = result.jobs[0].complete_time;
+  EXPECT_GT(result.trace.series("util").back().first, last_complete);
+  EXPECT_GT(result.metrics.utilization, 0.0);
+  EXPECT_NEAR(result.metrics.utilization,
+              result.trace.average("util", first_submit, last_complete),
+              1e-12);
 }
 
 TEST(ClusterExperiment, SingleShot) {

@@ -1,10 +1,9 @@
 #pragma once
 
 // Shared bit-identity assertions for the determinism tests: every RunMetrics
-// field is compared with EXPECT_EQ (not EXPECT_NEAR) because the sweep
-// engine's merge order is defined to be independent of thread scheduling.
-// Adding a RunMetrics field? Extend expect_identical here and both
-// determinism suites pick it up.
+// field (walked through elastic::kRunMetricsFields) is compared with
+// EXPECT_EQ (not EXPECT_NEAR) because the sweep engine's merge order is
+// defined to be independent of thread scheduling.
 
 #include <gtest/gtest.h>
 
@@ -17,24 +16,9 @@ namespace ehpc::scenario {
 inline void expect_identical(const elastic::RunMetrics& a,
                              const elastic::RunMetrics& b,
                              const std::string& where) {
-  EXPECT_EQ(a.total_time_s, b.total_time_s) << where;
-  EXPECT_EQ(a.utilization, b.utilization) << where;
-  EXPECT_EQ(a.weighted_response_s, b.weighted_response_s) << where;
-  EXPECT_EQ(a.weighted_completion_s, b.weighted_completion_s) << where;
-  EXPECT_EQ(a.lb_post_ratio, b.lb_post_ratio) << where;
-  EXPECT_EQ(a.lb_migrations_per_step, b.lb_migrations_per_step) << where;
-  EXPECT_EQ(a.lb_steps, b.lb_steps) << where;
-  EXPECT_EQ(a.failures, b.failures) << where;
-  EXPECT_EQ(a.evictions, b.evictions) << where;
-  EXPECT_EQ(a.jobs_failed, b.jobs_failed) << where;
-  EXPECT_EQ(a.jobs_abandoned, b.jobs_abandoned) << where;
-  EXPECT_EQ(a.jobs_timed_out, b.jobs_timed_out) << where;
-  EXPECT_EQ(a.recovery_time_s, b.recovery_time_s) << where;
-  EXPECT_EQ(a.lost_work_s, b.lost_work_s) << where;
-  EXPECT_EQ(a.goodput, b.goodput) << where;
-  EXPECT_EQ(a.correlated_failures, b.correlated_failures) << where;
-  EXPECT_EQ(a.storm_peak_restorers, b.storm_peak_restorers) << where;
-  EXPECT_EQ(a.storm_delay_s, b.storm_delay_s) << where;
+  for (const elastic::RunMetricsField& field : elastic::kRunMetricsFields) {
+    EXPECT_EQ(a.*field.member, b.*field.member) << where << " " << field.name;
+  }
 }
 
 inline void expect_identical(const SweepResult& serial,

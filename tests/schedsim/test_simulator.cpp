@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "schedsim/calibrate.hpp"
 
 namespace ehpc::schedsim {
@@ -104,6 +106,17 @@ TEST(SchedSimulator, UtilizationWithinBounds) {
   auto result = sim.run(gen.generate(16, 90.0));
   EXPECT_GT(result.metrics.utilization, 0.0);
   EXPECT_LE(result.metrics.utilization, 1.0);
+  // Utilization is the "util" step trace averaged over the experiment
+  // window: first submission to last completion.
+  double first_submit = result.jobs.front().submit_time;
+  double last_complete = result.jobs.front().complete_time;
+  for (const auto& j : result.jobs) {
+    first_submit = std::min(first_submit, j.submit_time);
+    last_complete = std::max(last_complete, j.complete_time);
+  }
+  EXPECT_NEAR(result.metrics.utilization,
+              result.trace.average("util", first_submit, last_complete),
+              1e-12);
 }
 
 TEST(SchedSimulator, RescaleOverheadExtendsRuntime) {

@@ -96,14 +96,33 @@ TEST(CsvTraceSource, MalformedFieldsErrorWithLineNumbers) {
     const char* name;
     const char* body;
     const char* line_tag;
+    const char* message;
   };
   const std::vector<Case> cases{
-      {"bad_id.csv", "x,small,1,0\n", ":1:"},
-      {"bad_class.csv", "0,tiny,1,0\n", ":1:"},
-      {"bad_priority.csv", "0,small,one,0\n", ":1:"},
-      {"bad_submit.csv", "0,small,1,12abc\n", ":1:"},
-      {"missing_column.csv", "0,small,1\n", ":1:"},
-      {"bad_timeout.csv", "# header\n0,small,1,0,nan?\n", ":2:"},
+      {"bad_id.csv", "x,small,1,0\n", ":1:", "bad job id"},
+      {"bad_class.csv", "0,tiny,1,0\n", ":1:", "unknown job class"},
+      {"bad_priority.csv", "0,small,one,0\n", ":1:", "bad priority"},
+      {"bad_submit.csv", "0,small,1,12abc\n", ":1:", "bad submit time"},
+      {"missing_column.csv", "0,small,1\n", ":1:", "expected 4-7 fields"},
+      {"bad_timeout.csv", "# header\n0,small,1,0,nan?\n", ":2:",
+       "bad queue timeout"},
+      // Values that parse but the replay cannot use: an id past INT_MAX
+      // used to narrow to job 0, a negative id read as a free fault slot,
+      // and the rest failed later inside the simulation with no line.
+      {"wide_id.csv", "0,small,1,0\n4294967296,small,1,10\n", ":2:",
+       "bad job id"},
+      {"negative_id.csv", "-1,small,1,0\n", ":1:", "bad job id"},
+      {"negative_priority.csv", "0,small,-1,0\n", ":1:", "bad priority"},
+      {"wide_priority.csv", "0,small,2147483648,0\n", ":1:", "bad priority"},
+      {"wide_max_failed.csv", "0,small,1,0,-1,-1,4294967296\n", ":1:",
+       "bad max failed nodes"},
+      {"nan_submit.csv", "0,small,1,nan\n", ":1:", "bad submit time"},
+      {"inf_submit.csv", "0,small,1,inf\n", ":1:", "bad submit time"},
+      {"negative_submit.csv", "0,small,1,-5\n", ":1:", "bad submit time"},
+      {"nan_queue_timeout.csv", "0,small,1,0,nan\n", ":1:",
+       "bad queue timeout"},
+      {"nan_task_timeout.csv", "0,small,1,0,-1,nan\n", ":1:",
+       "bad task timeout"},
   };
   for (const Case& c : cases) {
     const std::string path = write_temp(c.name, c.body);
@@ -112,10 +131,30 @@ TEST(CsvTraceSource, MalformedFieldsErrorWithLineNumbers) {
       drain(source);
       FAIL() << c.name << ": expected PreconditionError";
     } catch (const PreconditionError& err) {
-      EXPECT_NE(std::string(err.what()).find(c.line_tag), std::string::npos)
-          << c.name << ": " << err.what();
+      const std::string what = err.what();
+      EXPECT_NE(what.find(c.line_tag), std::string::npos)
+          << c.name << ": " << what;
+      EXPECT_NE(what.find(c.message), std::string::npos)
+          << c.name << ": " << what;
     }
   }
+}
+
+// The edges of the accepted ranges still parse.
+TEST(CsvTraceSource, AcceptsRangeEdges) {
+  const std::string path = write_temp(
+      "csv_edges.csv",
+      "2147483647,small,0,0,inf,-inf,-2147483648\n"
+      "0,small,2147483647,1e300,-1,-1,2147483647\n");
+  CsvTraceSource source(path);
+  const auto jobs = drain(source);
+  ASSERT_EQ(jobs.size(), 2u);
+  EXPECT_EQ(jobs[0].spec.id, 2147483647);
+  EXPECT_EQ(jobs[0].spec.priority, 0);
+  EXPECT_EQ(jobs[0].max_failed_nodes, -2147483647 - 1);
+  EXPECT_EQ(jobs[1].spec.priority, 2147483647);
+  EXPECT_EQ(jobs[1].submit_time, 1e300);
+  EXPECT_EQ(jobs[1].max_failed_nodes, 2147483647);
 }
 
 TEST(CsvTraceSource, RejectsBackwardsSubmitTimes) {
